@@ -38,7 +38,7 @@ from .mahler import (
     silver_williams_convergence,
 )
 from .satellite import ColorProfile, ProfileRow, argmax_color, cable_profile
-from ._kernels import current_backend, set_threads, use_backend, warmup
+from ._kernels import current_backend
 
 __version__ = "0.1.0"
 
@@ -55,5 +55,5 @@ __all__ = [
     "log_mahler_quadrature", "mahler_from_roots",
     "silver_williams_convergence",
     "ColorProfile", "ProfileRow", "argmax_color", "cable_profile",
-    "current_backend", "set_threads", "use_backend", "warmup",
+    "current_backend",
 ]

@@ -1,17 +1,8 @@
 """Hot evaluation kernels for the Habiro-Le sum.
 
-Two interchangeable backends compute the same quantities:
-
-* ``numba`` -- @njit kernels (default when numba imports cleanly); the
-  colored-Jones scan peels the global max and accumulates a compensated
-  (Kahan) left-to-right sum.
-* ``numpy`` -- vectorized fallback using cumulative prefix arrays and a
-  fixed-shape pairwise reduction.
-
-Select with the environment variable ``FIG8JONES_BACKEND=numpy`` (or
-``numba``) before import, or at runtime via :func:`use_backend`.  Both
-backends are deterministic for a fixed input regardless of thread count;
-they agree with each other to ~1e-12 relative.
+Every entry point builds the array of factors g(j), j = 1..N-1, takes
+signed log-prefix products of it, and (for the scans and grids) reduces
+them to (sign, log|J|) by peeling the global max before a pairwise sum.
 
 Phase convention: the j-th factor of the sum for color N at
 t = exp(2 pi i x) is g(j) = 2 cos(2 pi x N) - 2 cos(2 pi x j).  Phases
@@ -27,238 +18,26 @@ an ulp and silently rebuilds garbage past the dead factor).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_BACKEND = os.environ.get("FIG8JONES_BACKEND", "").strip().lower()
-
-try:
-    if _ENV_BACKEND == "numpy":
-        raise ImportError("numpy backend forced via FIG8JONES_BACKEND")
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-    prange = range
-
-_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def use_backend(name: str) -> None:
-    """Switch kernel backend at runtime ('numba' or 'numpy')."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend unavailable (import failed or disabled)")
-    _BACKEND = name
 
 
 def current_backend() -> str:
-    return _BACKEND
+    """Name of the kernel implementation, as recorded in benchmark runs."""
+    return "numpy"
 
 
-def set_threads(n: int) -> None:
-    """Cap worker threads for grid kernels; output is unaffected."""
-    if HAVE_NUMBA and n >= 1:
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _scan_nb(N, x):
-    uN = x * N
-    uN -= np.floor(uN)
-    if uN > 0.5:
-        uN = 1.0 - uN
-    gN = 2.0 * np.cos(2.0 * np.pi * uN)
-
-    logf = np.empty(N)
-    sgnf = np.empty(N, dtype=np.int8)
-    logf[0] = 0.0
-    sgnf[0] = 1
-    acc = 0.0
-    sacc = 1
-    nlive = N
-    for j in range(1, N):
-        u = x * j
-        u -= np.floor(u)
-        if u > 0.5:
-            u = 1.0 - u
-        g = gN - 2.0 * np.cos(2.0 * np.pi * u)
-        if g == 0.0:
-            nlive = j
-            break
-        if g < 0.0:
-            acc += np.log(-g)
-            sacc = -sacc
-        else:
-            acc += np.log(g)
-        logf[j] = acc
-        sgnf[j] = sacc
-
-    M = logf[0]
-    for k in range(1, nlive):
-        if logf[k] > M:
-            M = logf[k]
-    s = 0.0
-    comp = 0.0
-    for k in range(nlive):
-        term = sgnf[k] * np.exp(logf[k] - M)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    if s == 0.0:
-        return 0, -np.inf
-    if s > 0.0:
-        return 1, M + np.log(s)
-    return -1, M + np.log(-s)
-
-
-@njit(cache=True)
-def _scan_exact_nb(c, r, N):
-    qN = (r * c) % N
-    if 2 * qN > N:
-        qN = N - qN
-    gN = 2.0 * np.cos(2.0 * np.pi * qN / N)
-
-    logf = np.empty(c)
-    sgnf = np.empty(c, dtype=np.int8)
-    logf[0] = 0.0
-    sgnf[0] = 1
-    acc = 0.0
-    sacc = 1
-    nlive = c
-    for j in range(1, c):
-        q = (r * j) % N
-        if 2 * q > N:
-            q = N - q
-        if q == qN:
-            nlive = j
-            break
-        g = gN - 2.0 * np.cos(2.0 * np.pi * q / N)
-        if g == 0.0:
-            nlive = j
-            break
-        if g < 0.0:
-            acc += np.log(-g)
-            sacc = -sacc
-        else:
-            acc += np.log(g)
-        logf[j] = acc
-        sgnf[j] = sacc
-
-    M = logf[0]
-    for k in range(1, nlive):
-        if logf[k] > M:
-            M = logf[k]
-    s = 0.0
-    comp = 0.0
-    for k in range(nlive):
-        term = sgnf[k] * np.exp(logf[k] - M)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    if s == 0.0:
-        return 0, -np.inf
-    if s > 0.0:
-        return 1, M + np.log(s)
-    return -1, M + np.log(-s)
-
-
-@njit(cache=True)
-def _prefix_nb(N, x):
-    uN = x * N
-    uN -= np.floor(uN)
-    if uN > 0.5:
-        uN = 1.0 - uN
-    gN = 2.0 * np.cos(2.0 * np.pi * uN)
-
-    logf = np.empty(N)
-    sgnf = np.empty(N, dtype=np.int8)
-    logf[0] = 0.0
-    sgnf[0] = 1
-    acc = 0.0
-    sacc = 1
-    for j in range(1, N):
-        if sacc != 0:
-            u = x * j
-            u -= np.floor(u)
-            if u > 0.5:
-                u = 1.0 - u
-            g = gN - 2.0 * np.cos(2.0 * np.pi * u)
-            if g == 0.0:
-                sacc = 0
-                acc = -np.inf
-            elif g < 0.0:
-                acc += np.log(-g)
-                sacc = -sacc
-            else:
-                acc += np.log(g)
-        logf[j] = acc
-        sgnf[j] = sacc
-    return sgnf, logf
-
-
-@njit(cache=True, parallel=True)
-def _grid_nb(Ns, xs, out_s, out_l):
-    for i in prange(len(xs)):
-        s, l = _scan_nb(Ns[i], xs[i])
-        out_s[i] = s
-        out_l[i] = l
-
-
-@njit(cache=True, parallel=True)
-def _grid_exact_nb(cs, r, N, out_s, out_l):
-    for i in prange(len(cs)):
-        s, l = _scan_exact_nb(cs[i], r, N)
-        out_s[i] = s
-        out_l[i] = l
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
-
-def _fold_phases_np(u):
-    u = u - np.floor(u)
-    return np.where(u > 0.5, 1.0 - u, u)
-
-
-def _prefix_np(N, x):
+def _factors(N, x):
+    """g(j) for j = 1..N-1 at t = exp(2 pi i x), phases folded into [0, 1/2]."""
     uN = x * N - np.floor(x * N)
-    uN = min(uN, 1.0 - uN)
-    gN = 2.0 * np.cos(2.0 * np.pi * uN)
-    u = _fold_phases_np(x * np.arange(1, N, dtype=np.float64))
-    g = gN - 2.0 * np.cos(2.0 * np.pi * u)
-    with np.errstate(divide="ignore"):
-        lg = np.log(np.abs(g))
-    logf = np.concatenate((np.zeros(1), np.cumsum(lg)))
-    sgnf = np.concatenate(
-        (np.ones(1, dtype=np.int8), np.cumprod(np.sign(g)).astype(np.int8))
-    )
-    logf[sgnf == 0] = -np.inf
-    return sgnf, logf
+    gN = 2.0 * np.cos(2.0 * np.pi * min(uN, 1.0 - uN))
+    u = x * np.arange(1, N, dtype=np.float64)
+    u -= np.floor(u)
+    u = np.where(u > 0.5, 1.0 - u, u)
+    return gN - 2.0 * np.cos(2.0 * np.pi * u)
 
 
-def _prefix_exact_np(c, r, N):
+def _factors_exact(c, r, N):
+    """g(j) for j = 1..c-1 at t = exp(2 pi i r/N), integer phases r*j mod N."""
     qN = (r * c) % N
     qN = min(qN, N - qN)
     gN = 2.0 * np.cos(2.0 * np.pi * qN / N)
@@ -266,9 +45,13 @@ def _prefix_exact_np(c, r, N):
     q = np.minimum(q, N - q)
     g = gN - 2.0 * np.cos(2.0 * np.pi * q / N)
     g[q == qN] = 0.0
+    return g
+
+
+def _log_prefix(g):
+    """(signs, log|f(k)|) of the partial products f(k) = g(1)...g(k), f(0) = 1."""
     with np.errstate(divide="ignore"):
-        lg = np.log(np.abs(g))
-    logf = np.concatenate((np.zeros(1), np.cumsum(lg)))
+        logf = np.concatenate((np.zeros(1), np.cumsum(np.log(np.abs(g)))))
     sgnf = np.concatenate(
         (np.ones(1, dtype=np.int8), np.cumprod(np.sign(g)).astype(np.int8))
     )
@@ -276,7 +59,7 @@ def _prefix_exact_np(c, r, N):
     return sgnf, logf
 
 
-def _reduce_np(sgnf, logf):
+def _reduce(sgnf, logf):
     # peel global max, fixed-shape pairwise reduction (np.sum)
     M = np.max(logf)
     if M == -np.inf:
@@ -292,54 +75,31 @@ def _reduce_np(sgnf, logf):
     return -1, M + np.log(-s)
 
 
-def _scan_np(N, x):
-    return _reduce_np(*_prefix_np(N, x))
-
-
-def _scan_exact_np(c, r, N):
-    return _reduce_np(*_prefix_exact_np(c, r, N))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    if _BACKEND == "numba":
-        s, l = _scan_nb(N, x)
-        return int(s), float(l)
-    return _scan_np(N, x)
+    return _reduce(*_log_prefix(_factors(N, x)))
 
 
 def jones_scan_exact(c: int, r: int, N: int) -> tuple[int, float]:
     """(sign, log|J_c|) at t = exp(2 pi i r/N), integer r, exact zeros."""
-    if _BACKEND == "numba":
-        s, l = _scan_exact_nb(c, r, N)
-        return int(s), float(l)
-    return _scan_exact_np(c, r, N)
+    return _reduce(*_log_prefix(_factors_exact(c, r, N)))
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
-    if _BACKEND == "numba":
-        return _prefix_nb(N, x)
-    return _prefix_np(N, x)
+    return _log_prefix(_factors(N, x))
 
 
+# The grids call the private helpers, never jones_scan*, so a wrapper put
+# around a public kernel (perfbench/tracing.py) sees each point once.
 def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation over paired arrays of colors and positions."""
     Ns = np.asarray(Ns, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.float64)
     out_s = np.empty(len(xs), dtype=np.int8)
     out_l = np.empty(len(xs), dtype=np.float64)
-    if _BACKEND == "numba":
-        _grid_nb(Ns, xs, out_s, out_l)
-    else:
-        for i in range(len(xs)):
-            s, l = _scan_np(int(Ns[i]), float(xs[i]))
-            out_s[i] = s
-            out_l[i] = l
+    for i in range(len(xs)):
+        out_s[i], out_l[i] = _reduce(*_log_prefix(_factors(int(Ns[i]), float(xs[i]))))
     return out_s, out_l
 
 
@@ -348,24 +108,6 @@ def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     cs = np.asarray(cs, dtype=np.int64)
     out_s = np.empty(len(cs), dtype=np.int8)
     out_l = np.empty(len(cs), dtype=np.float64)
-    if _BACKEND == "numba":
-        _grid_exact_nb(cs, r, N, out_s, out_l)
-    else:
-        for i in range(len(cs)):
-            s, l = _scan_exact_np(int(cs[i]), r, N)
-            out_s[i] = s
-            out_l[i] = l
+    for i in range(len(cs)):
+        out_s[i], out_l[i] = _reduce(*_log_prefix(_factors_exact(int(cs[i]), r, N)))
     return out_s, out_l
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels (no-op on numpy backend)."""
-    if _BACKEND != "numba":
-        return
-    _scan_nb(4, 0.125)
-    _scan_exact_nb(5, 1, 4)
-    _prefix_nb(4, 0.125)
-    s = np.empty(2, dtype=np.int8)
-    l = np.empty(2, dtype=np.float64)
-    _grid_nb(np.array([3, 4], dtype=np.int64), np.array([0.1, 0.2]), s, l)
-    _grid_exact_nb(np.array([3, 5], dtype=np.int64), 1, 4, s, l)

@@ -4,7 +4,8 @@ values, and emit the experiment CSVs behind every figure.
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 numeric or
 precision error.  CSV cells carry 15 significant digits; identical
 flags produce byte-identical files.  ``--threads`` (or the JONES_THREADS
-environment variable) caps kernel workers without changing any output.
+environment variable) is validated but has no effect yet: the kernels
+run on one thread.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, PrecisionError, SingularityError, ZeroValueError
 from .jones_fig8 import EvaluationPoint, colored_jones, normalized_log
 from .limits import convergence_table, limit_V, limit_W, mahler_growth_integral
@@ -270,7 +270,8 @@ def build_parser() -> _Parser:
                 description="Figure-eight colored Jones numerics and "
                             "volume-limit experiments")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap kernel worker threads (JONES_THREADS mirrors this)")
+                   help="kernel worker threads (JONES_THREADS mirrors this); "
+                        "validated, currently without effect")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("lobachevsky", help="evaluate the Lobachevsky function")
@@ -327,7 +328,9 @@ def build_parser() -> _Parser:
     m = msub.add_parser("homology", help="|H_1| of the branched cyclic cover")
     m.add_argument("--N", type=int, required=True)
     m.add_argument("--poly", default=str(FIG8_ALEXANDER))
-    m.add_argument("--method", choices=("auto", "float", "exact"), default="auto")
+    m.add_argument("--method", choices=("auto", "float", "exact"), default="auto",
+                   help="auto = exact integer arithmetic; float = complex "
+                        "product, uncertified near 2^52")
     m.add_argument("--check", action="store_true")
     m.set_defaults(fn=_cmd_mahler, mahler_cmd="homology")
 
@@ -394,11 +397,9 @@ def main(argv=None) -> int:
                 print(f"fig8jones: bad JONES_THREADS value {env!r}",
                       file=sys.stderr)
                 return EXIT_USAGE
-    if threads is not None:
-        if threads < 1:
-            print("fig8jones: --threads must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        _kernels.set_threads(threads)
+    if threads is not None and threads < 1:
+        print("fig8jones: --threads must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         return args.fn(args)

@@ -445,8 +445,10 @@ def homology_order(f: LaurentPolynomialZ, N: int, method: str = "auto") -> int:
     and 0 when the product vanishes (infinite homology).
 
     method 'float' uses the complex product and enforces the 0.25
-    integer-rounding window (PrecisionError beyond it); 'exact' uses
-    integer/rational arithmetic; 'auto' tries float and falls back.
+    integer-rounding window (PrecisionError beyond it); 'exact' and
+    'auto' use integer/rational arithmetic.  The float window is not a
+    certificate: near 2^52 it accepts a wrong integer (figure-eight,
+    N = 35), so 'auto' never takes it.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
@@ -459,14 +461,9 @@ def homology_order(f: LaurentPolynomialZ, N: int, method: str = "auto") -> int:
         )
     if method == "float":
         return _homology_float(f, N)
-    if method == "exact":
+    if method in ("exact", "auto"):
         return _homology_exact(f, N)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        return _homology_float(f, N)
-    except PrecisionError:
-        return _homology_exact(f, N)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def silver_williams_convergence(

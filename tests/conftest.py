@@ -1,25 +1,4 @@
 import numpy as np
-import pytest
-
-from fig8jones import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay JIT compilation once, outside any timed assertion
-    _kernels.warmup()
-
-
-@pytest.fixture(params=["numba", "numpy"])
-def backend(request):
-    """Run a test under each kernel backend, restoring the default after."""
-    name = request.param
-    if name == "numba" and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    previous = _kernels.current_backend()
-    _kernels.use_backend(name)
-    yield name
-    _kernels.use_backend(previous)
 
 
 def brute_force_jones(N: int, x: float) -> complex:

@@ -35,7 +35,8 @@ CYCLOTOMICS = [
 def lucas_homology_oracle(N: int) -> int:
     """|H_1| for the figure-eight via the integer recurrence
     l_k = 3 l_{k-1} - l_{k-2} (power sums of the Alexander roots):
-    the order is l_N - 2, computed exactly."""
+    the order is l_N - 2 = L_{2N} - 2 with L the Lucas numbers
+    (Silver-Williams, Topology 41, 2002), computed exactly."""
     a, b = 2, 3
     for _ in range(N):
         a, b = b, 3 * b - a
@@ -169,7 +170,7 @@ class TestHomologyOrder:
         assert homology_order(FIG8_ALEXANDER, 3) == 16
         assert homology_order(FIG8_ALEXANDER, 4) == 45
 
-    @pytest.mark.parametrize("N", list(range(2, 31)) + [50, 100, 200, 500])
+    @pytest.mark.parametrize("N", list(range(2, 301)) + [500])
     def test_against_lucas_oracle(self, N):
         assert homology_order(FIG8_ALEXANDER, N) == lucas_homology_oracle(N)
 
