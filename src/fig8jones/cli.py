@@ -330,7 +330,8 @@ def build_parser() -> _Parser:
     m.add_argument("--poly", default=str(FIG8_ALEXANDER))
     m.add_argument("--method", choices=("auto", "float", "exact"), default="auto",
                    help="auto = exact integer arithmetic; float = complex "
-                        "product, uncertified near 2^52")
+                        "product, refused (exit 70) once its forward error "
+                        "bound reaches 0.25")
     m.add_argument("--check", action="store_true")
     m.set_defaults(fn=_cmd_mahler, mahler_cmd="homology")
 

@@ -5,10 +5,10 @@ Two independent routes to m(f) are kept deliberately separate: the
 root-product (leading coefficient times roots outside the unit disk)
 and direct quadrature of log|f| over the circle.  Homology orders of
 the N-fold branched cyclic cover come from the product of the Alexander
-polynomial over N-th roots of unity; the product is an integer, so a
-floating evaluation is only accepted inside a strict rounding window
-and an exact integer path (polynomial powers modulo f plus a resultant)
-takes over beyond it.
+polynomial over N-th roots of unity.  The product is an integer: the
+default path computes it exactly as one integer determinant built from
+the companion matrix of f, and a floating path returns it only when a
+forward error bound certifies the rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,16 +78,6 @@ class LaurentPolynomialZ:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coefficients) + f"@{self.low_exponent}"
-
-    def __mul__(self, other: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return LaurentPolynomialZ(
-            self.low_exponent + other.low_exponent, tuple(out)
-        )
 
     def eval_at(self, z: complex) -> complex:
         """Direct evaluation at a nonzero complex point."""
@@ -247,195 +236,92 @@ def log_mahler_quadrature(sampler, n: int) -> float:
 # homology orders of branched cyclic covers
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_linear(coeffs: list[int], root: int) -> list[int] | None:
-    """Exact division by (t - root) if it divides; None otherwise."""
-    q = []
-    acc = 0
-    for c in reversed(coeffs):  # synthetic division, high to low
-        acc = c + acc * root
-        q.append(acc)
-    rem = q.pop()
-    if rem != 0:
-        return None
-    return list(reversed(q))
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _monic_from(p: list[int]) -> list[Fraction]:
-    lead = Fraction(p[-1])
-    return [Fraction(c) / lead for c in p]
+def _scale_add(a: list[list[int]], s: int, b: list[list[int]]) -> list[list[int]]:
+    return [[x * s + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _polymod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1]
-        off = len(a) - 1 - dm
-        for i in range(dm + 1):
-            a[off + i] -= q * m[i]
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polymulmod(a, b, m):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _polymod(out, m)
-
-
-def _powmod_t(N: int, m: list[Fraction]) -> list[Fraction]:
-    """t^N mod m by square-and-multiply."""
-    result = [Fraction(1)]
-    base = _polymod([Fraction(0), Fraction(1)], m)
-    e = N
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, m)
-        base = _polymulmod(base, base, m)
-        e >>= 1
-    return result
-
-
-def _poly_inv_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction] | None:
-    """Inverse of a modulo m in Q[t] via extended Euclid; None if not coprime."""
-    def degree(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    def scale(p, s):
-        return [c * s for c in p]
-
-    def sub(p, q):
-        n = max(len(p), len(q))
-        p = p + [Fraction(0)] * (n - len(p))
-        q = q + [Fraction(0)] * (n - len(q))
-        return [pi - qi for pi, qi in zip(p, q)]
-
-    def shift(p, k):
-        return [Fraction(0)] * k + p
-
-    r0, r1 = m[:], a[:]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while degree(r1) >= 0:
-        d0, d1 = degree(r0), degree(r1)
-        if d0 < d1:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        q = r0[d0] / r1[d1]
-        r0 = sub(r0, shift(scale(r1, q), d0 - d1))
-        s0 = sub(s0, shift(scale(s1, q), d0 - d1))
-        if degree(r0) < degree(r1):
-            r0, r1, s0, s1 = r1, r0, s1, s0
-    if degree(r0) != 0:
-        return None
-    inv_lead = 1 / r0[degree(r0)]
-    return _polymod(scale(s0, inv_lead), m)
-
-
-def _resultant(m: list[Fraction], b: list[Fraction]) -> Fraction:
-    """Res(m, b) for monic m: product of b over the roots of m, via a
-    Sylvester determinant with exact rational elimination."""
-    def degree(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    dm = degree(m)
-    db = degree(b)
-    if db < 0:
-        return Fraction(0)
-    if dm == 0:
-        return Fraction(1)
-    if db == 0:
-        return b[0] ** dm
-    n = dm + db
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(db):
-        for j, c in enumerate(reversed(m[: dm + 1])):
-            mat[i][i + j] = c
-    for i in range(dm):
-        for j, c in enumerate(reversed(b[: db + 1])):
-            mat[db + i][i + j] = c
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if mat[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for row in range(col + 1, n):
-            if mat[row][col] != 0:
-                factor = mat[row][col] * inv
-                for k in range(col, n):
-                    mat[row][k] -= factor * mat[col][k]
-    return det
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def _homology_exact(f: LaurentPolynomialZ, N: int) -> int:
-    """|prod_{d=1}^{N-1} f(zeta_N^d)| by exact integer/rational arithmetic."""
-    p = list(f.coefficients)
-    # peel (t - 1)^mult; each contributes prod_{d=1}^{N-1} (zeta^d - 1) = +-N
-    mult = 0
-    while sum(p) == 0:
-        p = _poly_divmod_linear(p, 1)
-        mult += 1
-    if len(p) == 1:
-        total = Fraction(abs(p[0]) ** (N - 1))
-    else:
-        lead = p[-1]
-        m = _monic_from(p)
-        tN = _powmod_t(N, m)
-        tN = tN + [Fraction(0)] * (1 - len(tN))
-        tN[0] -= 1  # t^N - 1 mod m
-        inv = _poly_inv_mod([Fraction(-1), Fraction(1)], m)
-        if inv is None:  # cannot happen: (t-1) factors were peeled
-            raise PrecisionError("unexpected common factor with t - 1")
-        geo = _polymulmod(tN, inv, m)  # (t^N - 1)/(t - 1) mod m
-        res = _resultant(m, geo)
-        total = Fraction(abs(lead)) ** (N - 1) * abs(res)
-    total *= Fraction(N) ** mult
-    if total.denominator != 1:
-        raise PrecisionError(f"homology product not integral: {total}")
-    return int(total)
+    """|prod_{k=1}^{N-1} f(zeta_N^k)| as an integer determinant.
+
+    With p the coefficients of f, d its degree, L its leading
+    coefficient and B = L * companion(p / L) (L on the subdiagonal,
+    -p_0 ... -p_{d-1} in the last column), the product is
+    |det G| |L|^(N-1) / |L|^(d(N-1)) with G = sum_{k<N} B^k L^(N-1-k),
+    because 1 + x + ... + x^(N-1) = prod_{k=1}^{N-1} (x - zeta_N^k).
+    A (t - 1) factor thus contributes N, and a root of unity of order
+    dividing N makes det G = 0.  G is built by doubling over the bits
+    of N: G_2n = G_n L^n + B^n G_n and G_(n+1) = G_n L + B^n.
+    """
+    p = f.coefficients
+    d, L = len(p) - 1, p[-1]
+    B = [[L if i == j + 1 else 0 for j in range(d - 1)] + [-p[i]]
+         for i in range(d)]
+    G = [[int(i == j) for j in range(d)] for i in range(d)]
+    P, Ln = B, L  # B^n and L^n, starting from G_1 = I
+    for bit in bin(N)[3:]:
+        G = _scale_add(G, Ln, _matmul(P, G))
+        P, Ln = _matmul(P, P), Ln * Ln
+        if bit == "1":
+            G = _scale_add(G, L, P)
+            P, Ln = _matmul(P, B), Ln * L
+    order, rem = divmod(abs(_bareiss_det(G) * L ** (N - 1)),
+                        abs(L) ** (d * (N - 1)))
+    if rem:
+        raise PrecisionError(f"homology product not integral at N={N}")
+    return order
 
 
 def _homology_float(f: LaurentPolynomialZ, N: int) -> int:
+    """The rounded complex product, certified by a forward error bound.
+
+    First-order forward error (Higham, ch. 3): the rounded zeta_N^k is
+    within 28u of the true root (three roundings of the angle 2 pi k/N,
+    then exp), which moves f by at most 28u d S, and Horner adds at most
+    2d sqrt(5) u S, with S = sum |p_i|.  So each factor is off by at most
+    32 u d S, and each complex product adds a relative sqrt(5) u < 3u.
+    A bound of 0.25 or more raises PrecisionError.
+    """
+    coeffs = f.coefficients
     z = np.exp(2j * np.pi * np.arange(1, N) / N)
-    vals = np.polyval(list(reversed(f.coefficients)), z)
-    vals = vals * z ** float(f.low_exponent)
+    vals = np.polyval(list(reversed(coeffs)), z)  # |z^low| = 1 is dropped
     prod = complex(1.0)
     for v in vals:
         prod *= complex(v)
-        if abs(prod) > 2**52:
-            raise PrecisionError(
-                f"homology product exceeds the exact-integer float window "
-                f"at N={N}; use the exact path"
-            )
-    if abs(prod.imag) > 0.25:
-        raise PrecisionError(f"homology product drifted complex: {prod}")
+    u = 2.0 ** -53
+    factor_err = 32 * u * (len(coeffs) - 1) * sum(abs(c) for c in coeffs)
+    with np.errstate(divide="ignore"):
+        err = abs(prod) * (factor_err * float(np.sum(1.0 / np.abs(vals)))
+                           + 3 * u * (N - 1))
+    if not err < 0.25:
+        raise PrecisionError(f"homology product {abs(prod):.17g} has error bound "
+                             f"{err:.3g} at N={N}, outside the certified float "
+                             "window; use the exact path")
     nearest = round(abs(prod.real))
-    if abs(abs(prod.real) - nearest) > 0.25:
-        raise PrecisionError(
-            f"homology product {prod.real} not within 0.25 of an integer"
-        )
+    if abs(prod.imag) > 0.25 or abs(abs(prod.real) - nearest) > 0.25:
+        raise PrecisionError(f"homology product {prod} not within 0.25 of an integer")
     return int(nearest)
 
 
@@ -444,11 +330,12 @@ def homology_order(f: LaurentPolynomialZ, N: int, method: str = "auto") -> int:
     whose Alexander polynomial is f: |prod_{d=1}^{N-1} f(zeta_N^d)|,
     and 0 when the product vanishes (infinite homology).
 
-    method 'float' uses the complex product and enforces the 0.25
-    integer-rounding window (PrecisionError beyond it); 'exact' and
-    'auto' use integer/rational arithmetic.  The float window is not a
-    certificate: near 2^52 it accepts a wrong integer (figure-eight,
-    N = 35), so 'auto' never takes it.
+    'exact' and 'auto' compute the product as an integer determinant.
+    'float' uses the complex product and raises PrecisionError unless
+    its forward error bound, |prod| (sum_k 32 u d S / |f(zeta^k)| +
+    3 u (N - 1)) with u = 2^-53, d the degree and S the sum of
+    |coefficients|, stays below 0.25; for the figure-eight it
+    certifies N <= 28.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")

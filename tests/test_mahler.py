@@ -19,6 +19,8 @@ from fig8jones.mahler import (
 )
 
 GOLDEN_SQ = (3.0 + math.sqrt(5.0)) / 2.0  # dominant root of t^2 - 3t + 1
+# 6_1: 2t - 5 + 2/t = (2t - 1)(t - 2)/t, so |H_1(M_N)| = (2^N - 1)^2
+SIX_ONE_ALEXANDER = LaurentPolynomialZ(-1, (2, -5, 2))
 
 CYCLOTOMICS = [
     LaurentPolynomialZ(0, (-1, 1)),            # t - 1
@@ -70,12 +72,6 @@ class TestLaurentPolynomial:
         with pytest.raises(ValueError):
             LaurentPolynomialZ(0, (1, 0))
 
-    def test_multiplication(self):
-        f = LaurentPolynomialZ(0, (1, 1))
-        g = LaurentPolynomialZ(-1, (1, -1))
-        assert (f * g).coefficients == (1, 0, -1)
-        assert (f * g).low_exponent == -1
-
     def test_eval_at(self):
         assert abs(FIG8_ALEXANDER.eval_at(-1 + 0j) - 5.0) < 1e-12
 
@@ -106,9 +102,12 @@ class TestMahlerFromRoots:
         rng = np.random.default_rng(7)
         for _ in range(20):
             f, g = random_laurent(rng), random_laurent(rng)
+            fg = LaurentPolynomialZ(
+                f.low_exponent + g.low_exponent,
+                tuple(int(c) for c in np.convolve(f.coefficients, g.coefficients)))
             with np.testing.suppress_warnings() as sup:
                 sup.filter(NearUnitRootWarning)
-                m_fg = mahler_from_roots(f * g)
+                m_fg = mahler_from_roots(fg)
                 m_sum = mahler_from_roots(f) + mahler_from_roots(g)
             assert abs(m_fg - m_sum) < 1e-9
 
@@ -174,13 +173,23 @@ class TestHomologyOrder:
     def test_against_lucas_oracle(self, N):
         assert homology_order(FIG8_ALEXANDER, N) == lucas_homology_oracle(N)
 
+    @pytest.mark.parametrize("N", list(range(2, 301)))
+    def test_non_monic_closed_form(self, N):
+        assert homology_order(SIX_ONE_ALEXANDER, N) == (2**N - 1) ** 2
+
     def test_float_path_agrees_when_certifiable(self):
-        for N in range(2, 21):
-            assert homology_order(FIG8_ALEXANDER, N, method="float") == \
-                homology_order(FIG8_ALEXANDER, N, method="exact")
+        # the float path either certifies the right order or refuses,
+        # and it never refuses a small cover
+        for N in range(2, 61):
+            try:
+                via_float = homology_order(FIG8_ALEXANDER, N, method="float")
+            except PrecisionError:
+                assert N > 20
+                continue
+            assert via_float == lucas_homology_oracle(N)
 
     def test_dual_route_random_polynomials(self):
-        # complex product vs rational resultant: two independent paths
+        # complex product vs integer determinant: two independent paths
         # over assorted degrees, small N keeps the float path certifiable
         rng = np.random.default_rng(5)
         checked = 0
@@ -201,9 +210,12 @@ class TestHomologyOrder:
                 assert via_float == homology_order(f, N, method="exact")
             checked += 1
 
-    def test_float_path_refuses_beyond_window(self):
+    @pytest.mark.parametrize("N", [200, 35])
+    def test_float_path_refuses_beyond_window(self, N):
+        # at N = 35 the product is about 4.3e14, below 2^52, and rounds
+        # to an order one too large
         with pytest.raises(PrecisionError):
-            homology_order(FIG8_ALEXANDER, 200, method="float")
+            homology_order(FIG8_ALEXANDER, N, method="float")
 
     def test_never_vanishes_up_to_500(self):
         # no root of the figure-eight Alexander polynomial is a root of
@@ -238,6 +250,12 @@ class TestSilverWilliams:
     def test_hundred_fold_cover(self):
         (rec,) = silver_williams_convergence(FIG8_ALEXANDER, [100])
         assert abs(rec.delta) < 0.02
+
+    def test_non_monic_against_roots(self):
+        # m(6_1) = log 4 and log|H_1|/N = 2 log(2^N - 1)/N
+        (rec,) = silver_williams_convergence(SIX_ONE_ALEXANDER, [100])
+        assert abs(rec.predicted - math.log(4.0)) < 1e-12
+        assert abs(rec.delta) < 1e-12
 
     def test_unknot(self):
         (rec,) = silver_williams_convergence(LaurentPolynomialZ(0, (1,)), [10])
