@@ -210,7 +210,8 @@ def log_mahler_quadrature(sampler, n: int) -> float:
 
     Samples that are exactly zero (integrable log singularities) are
     replaced by one level of dyadic refinement: the offending panel is
-    split into 8 sub-midpoints and the surviving values averaged.  More
+    split into 8 sub-midpoints and the surviving values averaged.  The
+    sub-midpoints of all such panels are sampled in one call.  More
     than n/10 zero samples raises SingularityError.
     """
     if n < 2:
@@ -224,11 +225,12 @@ def log_mahler_quadrature(sampler, n: int) -> float:
             "identically zero"
         )
     vals = logs.astype(float)
-    for i in zero_idx:
-        sub = (i + (np.arange(8) + 0.5) / 8.0) / n
-        ss, sl = _sample(sampler, sub)
-        live = ss != 0
-        vals[i] = np.mean(sl[live]) if np.any(live) else 0.0
+    if len(zero_idx):
+        sub = (zero_idx[:, None] + (np.arange(8) + 0.5) / 8.0) / n
+        ss, sl = _sample(sampler, sub.ravel())
+        for i, s8, l8 in zip(zero_idx, ss.reshape(-1, 8), sl.reshape(-1, 8)):
+            live = s8 != 0
+            vals[i] = np.mean(l8[live]) if np.any(live) else 0.0
     return float(np.mean(vals))
 
 

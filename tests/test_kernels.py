@@ -88,14 +88,50 @@ class TestScanAgreement:
 
 
 class TestGrids:
-    def test_grid_matches_pointwise(self):
-        Ns = np.array([5, 50, 500, 1999], dtype=np.int64)
-        xs = np.array([0.2, 0.031, 0.9 / 500, 0.55])
+    @staticmethod
+    def assert_grid_is_scan(Ns, xs):
+        # bit for bit: the chunked grid and the one-row scan must run the
+        # same floating-point operations on every point
         gs, gl = _kernels.jones_grid(Ns, xs)
-        for i in range(len(Ns)):
-            s, l = _kernels.jones_scan(int(Ns[i]), float(xs[i]))
-            assert gs[i] == s
-            assert gl[i] == l
+        assert gs.dtype == np.int8 and gl.dtype == np.float64
+        assert gs.shape == gl.shape == (len(xs),)
+        for i, (N, x) in enumerate(zip(Ns.tolist(), xs.tolist())):
+            s, l = _kernels.jones_scan(N, x)
+            assert gs[i] == s, (N, x)
+            assert gl[i].tobytes() == np.float64(l).tobytes(), (N, x)
+
+    def test_grid_matches_pointwise(self):
+        # colors in any input order; N = 1, 2 have no factor or one,
+        # x = 0 is t = 1, (5, 0.5) truncates at an exact zero, and
+        # N = 17000 exceeds one chunk's factor budget on its own
+        Ns = np.array([700, 1, 33, 2, 700, 5, 1, 2, 17000, 33, 5, 1999, 50, 500, 5])
+        xs = np.array([0.31, 0.2, 0.0, 0.75, 0.0, 0.5, 0.0, 0.5, 0.41, 0.9,
+                       0.13, 0.55, 0.031, 0.9 / 500, 0.2])
+        self.assert_grid_is_scan(Ns, xs)
+
+    def test_grid_color_spanning_chunks(self):
+        # N = 101 fills two whole chunks plus a remainder, interleaved
+        # with a second color
+        rows = _kernels._CHUNK_FACTORS // 100
+        rng = np.random.default_rng(4)
+        Ns = np.array([101] * (2 * rows + 7) + [9] * 5, dtype=np.int64)
+        rng.shuffle(Ns)
+        self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
+
+    def test_grid_dyadic_quadrature_grid(self):
+        n = 1 << 12
+        xs = (np.arange(n) + 0.5) / n
+        self.assert_grid_is_scan(np.full(n, 300, dtype=np.int64), xs)
+
+    def test_grid_empty_and_inputs_untouched(self):
+        gs, gl = _kernels.jones_grid(np.array([], dtype=np.int64), np.array([]))
+        assert gs.dtype == np.int8 and gl.dtype == np.float64
+        assert gs.shape == gl.shape == (0,)
+        Ns = np.array([40, 3, 40, 200], dtype=np.int64)
+        xs = np.array([0.7, 0.1, 0.25, 0.01])
+        Ns0, xs0 = Ns.copy(), xs.copy()
+        _kernels.jones_grid(Ns, xs)
+        assert np.array_equal(Ns, Ns0) and np.array_equal(xs, xs0)
 
     def test_grid_exact_matches_pointwise(self):
         cs = np.arange(1, 40, 2, dtype=np.int64)

@@ -154,6 +154,41 @@ class TestQuadrature:
         m = log_mahler_quadrature(ShiftedRootSampler(), 4096)
         assert abs(m) < 1e-2  # m(t-1) = 0, one refined panel
 
+        # three zero panels: their 24 sub-midpoints take one second batch
+        # call, and each panel averages its live samples exactly as a
+        # panel-by-panel refinement does (panel 1000 loses one
+        # sub-sample, panel 2050 all eight)
+        n = 4096
+        sub = (np.arange(8) + 0.5) / 8.0
+        zeros = np.concatenate((
+            (np.array([3, 1000, 2050]) + 0.5) / n,
+            (1000 + sub[:1]) / n,
+            (2050 + sub) / n,
+        ))
+
+        class ThreeZeroSampler:
+            calls = 0
+
+            def batch(self, xs):
+                self.calls += 1
+                s, l = FIG8_ALEXANDER.eval_circle_batch(xs)
+                s[np.isin(xs, zeros)] = 0
+                return s, l
+
+        def per_panel(sampler):
+            s, l = sampler.batch((np.arange(n) + 0.5) / n)
+            vals = l.astype(float)
+            for i in np.nonzero(s == 0)[0]:
+                ss, sl = sampler.batch((i + sub) / n)
+                live = ss != 0
+                vals[i] = np.mean(sl[live]) if np.any(live) else 0.0
+            return float(np.mean(vals))
+
+        sampler = ThreeZeroSampler()
+        m = log_mahler_quadrature(sampler, n)
+        assert sampler.calls == 2
+        assert m == per_panel(ThreeZeroSampler())
+
     def test_identically_zero_raises(self):
         with pytest.raises(SingularityError):
             log_mahler_quadrature(ConstSampler(0.0), 256)
