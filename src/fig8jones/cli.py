@@ -3,16 +3,13 @@ values, and emit the experiment CSVs behind every figure.
 
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 numeric or
 precision error.  CSV cells carry 15 significant digits; identical
-flags produce byte-identical files.  ``--threads`` (or the JONES_THREADS
-environment variable) is validated but has no effect yet: the kernels
-run on one thread.
+flags produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -93,7 +90,7 @@ def _cmd_lobachevsky(args) -> int:
             ("volume consistency -4*L(5pi/6)",
              abs(vol + 4.0 * lobachevsky(5 * math.pi / 6)) < 1e-10),
         ])
-    print(_fmt(lobachevsky(args.theta, args.tol)))
+    print(_fmt(lobachevsky(args.theta)))
     return EXIT_OK
 
 
@@ -269,14 +266,10 @@ def build_parser() -> _Parser:
     p = _Parser(prog="fig8jones",
                 description="Figure-eight colored Jones numerics and "
                             "volume-limit experiments")
-    p.add_argument("--threads", type=int, default=None,
-                   help="kernel worker threads (JONES_THREADS mirrors this); "
-                        "validated, currently without effect")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("lobachevsky", help="evaluate the Lobachevsky function")
     q.add_argument("--theta", type=float, default=0.0)
-    q.add_argument("--tol", type=float, default=1e-12)
     q.add_argument("--check", action="store_true")
     q.set_defaults(fn=_cmd_lobachevsky)
 
@@ -386,20 +379,6 @@ def main(argv=None) -> int:
         print("fig8jones mahler: error: a subcommand is required "
               "(roots, quad, homology, sw, jones-growth) unless --check",
               file=sys.stderr)
-        return EXIT_USAGE
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("JONES_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"fig8jones: bad JONES_THREADS value {env!r}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-    if threads is not None and threads < 1:
-        print("fig8jones: --threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     try:

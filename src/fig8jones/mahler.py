@@ -21,7 +21,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import PrecisionError, SingularityError
-from .jones_fig8 import SignedLogValue
 from .limits import ConvergenceRecord
 
 __all__ = [
@@ -110,10 +109,6 @@ class LaurentSampler:
     def __init__(self, f: LaurentPolynomialZ):
         self.f = f
 
-    def __call__(self, x: float) -> SignedLogValue:
-        s, l = self.batch(np.array([x]))
-        return SignedLogValue.zero() if s[0] == 0 else SignedLogValue(1, float(l[0]))
-
     def batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.f.eval_circle_batch(xs)
 
@@ -123,9 +118,6 @@ class ConstSampler:
 
     def __init__(self, value: float):
         self.value = float(value)
-
-    def __call__(self, x: float) -> SignedLogValue:
-        return SignedLogValue.from_float(self.value)
 
     def batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(xs)
@@ -143,10 +135,6 @@ class JonesSampler:
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
         self.N = N
-
-    def __call__(self, x: float) -> SignedLogValue:
-        s, l = _kernels.jones_scan(self.N, float(x) % 1.0)
-        return SignedLogValue.zero() if s == 0 else SignedLogValue(s, l)
 
     def batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float) % 1.0
@@ -191,33 +179,22 @@ def mahler_from_roots(f: LaurentPolynomialZ, tol: float = 1e-9) -> float:
     return m
 
 
-def _sample(sampler, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    batch = getattr(sampler, "batch", None)
-    if batch is not None:
-        return batch(xs)
-    signs = np.empty(len(xs), dtype=np.int8)
-    logs = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        v = sampler(float(x))
-        signs[i] = v.sign
-        logs[i] = v.logabs
-    return signs, logs
-
-
 def log_mahler_quadrature(sampler, n: int) -> float:
     """Midpoint quadrature of log|sampler| over one turn with n uniform
     samples.
 
-    Samples that are exactly zero (integrable log singularities) are
-    replaced by one level of dyadic refinement: the offending panel is
-    split into 8 sub-midpoints and the surviving values averaged.  The
-    sub-midpoints of all such panels are sampled in one call.  More
-    than n/10 zero samples raises SingularityError.
+    sampler.batch(xs) returns (signs, log|f|) at t = exp(2 pi i xs),
+    with sign 0 marking an exact zero.  Samples that are exactly zero
+    (integrable log singularities) are replaced by one level of dyadic
+    refinement: the offending panel is split into 8 sub-midpoints and
+    the surviving values averaged.  The sub-midpoints of all such
+    panels are sampled in one call.  More than n/10 zero samples raises
+    SingularityError.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     xs = (np.arange(n) + 0.5) / n
-    signs, logs = _sample(sampler, xs)
+    signs, logs = sampler.batch(xs)
     zero_idx = np.nonzero(signs == 0)[0]
     if len(zero_idx) > n / 10:
         raise SingularityError(
@@ -227,7 +204,7 @@ def log_mahler_quadrature(sampler, n: int) -> float:
     vals = logs.astype(float)
     if len(zero_idx):
         sub = (zero_idx[:, None] + (np.arange(8) + 0.5) / 8.0) / n
-        ss, sl = _sample(sampler, sub.ravel())
+        ss, sl = sampler.batch(sub.ravel())
         for i, s8, l8 in zip(zero_idx, ss.reshape(-1, 8), sl.reshape(-1, 8)):
             live = s8 != 0
             vals[i] = np.mean(l8[live]) if np.any(live) else 0.0

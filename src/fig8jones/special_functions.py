@@ -17,7 +17,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DomainError
 
@@ -28,9 +27,36 @@ __all__ = [
     "fig8_volume",
 ]
 
-# zeta(2k) for the power series; 80 terms bound the tail below 1e-39
-# for reduced arguments <= pi/2 (term ratio <= ~1/4).
-_ZETA_EVEN = zeta(2.0 * np.arange(1, 81))
+
+def _zeta_even(n: int) -> np.ndarray:
+    """zeta(2k) for k = 1..n, each correctly rounded to a float.
+
+    a_k = zeta(2k) / pi^(2k) satisfies a_1 = 1/6 and
+    (k + 1/2) a_k = sum_{0<i<k} a_i a_(k-i).  The recurrence and the
+    powers of pi run in fixed point with 600 fraction bits, which leaves
+    over 300 significant bits at k = 80; the final int / int division
+    rounds correctly.
+    """
+    bits = 600
+    pi = (int("31415926535897932384626433832795028841971693993751"
+              "05820974944592307816406286208998628034825342117067")
+          << bits) // 10 ** 99
+    pi2 = pi * pi >> bits
+    a = [0, (1 << bits) // 6]
+    for k in range(2, n + 1):
+        a.append(2 * (sum(a[i] * a[k - i] for i in range(1, k)) >> bits)
+                 // (2 * k + 1))
+    zeta, pi_pow = [], 1 << bits
+    for k in range(1, n + 1):
+        pi_pow = pi_pow * pi2 >> bits
+        zeta.append(a[k] * pi_pow >> bits)
+    return np.array([z / (1 << bits) for z in zeta])
+
+
+# zeta(2k) for the power series, computed here so that no special-function
+# library is imported; 80 terms bound the tail below 1e-39 for reduced
+# arguments <= pi/2 (term ratio <= ~1/4).
+_ZETA_EVEN = _zeta_even(80)
 _KR = np.arange(1, 81)
 _SERIES_COEF = _ZETA_EVEN / (_KR * (2 * _KR + 1) * np.pi ** (2.0 * _KR))
 
@@ -69,7 +95,7 @@ def _lob_reduced(t: np.ndarray) -> np.ndarray:
     return base + ser
 
 
-def lobachevsky(theta, tol: float = 1e-12):
+def lobachevsky(theta):
     """Lobachevsky function Lambda(theta) = -int_0^theta log|2 sin u| du.
 
     Parameters
@@ -77,17 +103,13 @@ def lobachevsky(theta, tol: float = 1e-12):
     theta : float or ndarray
         Argument in radians; any finite real value (Lambda is odd and
         pi-periodic, so the argument is reduced internally).
-    tol : float
-        Requested absolute accuracy; must be positive.  The fixed-length
-        series bounds the error below 1e-15, so any tol >= that is met.
 
     Returns
     -------
     float or ndarray
-        Lambda(theta) to within max(tol, series floor ~1e-15).
+        Lambda(theta); the fixed-length series bounds the truncation
+        error below 1e-15.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     arr = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("theta must be finite")
@@ -122,7 +144,7 @@ def theta_r(r, variant: ThetaVariant = ThetaVariant.MINUS_HALF):
     return val
 
 
-def fig8_volume(tol: float = 1e-12) -> float:
+def fig8_volume() -> float:
     """Hyperbolic volume of the figure-eight knot complement.
 
     Computed as 2*(Lambda(pi + pi/6) - Lambda(pi - pi/6)) = 4*Lambda(pi/6),
@@ -130,5 +152,5 @@ def fig8_volume(tol: float = 1e-12) -> float:
     """
     th = theta_r(1.0, ThetaVariant.MINUS_HALF)  # pi/3
     return 2.0 * (
-        lobachevsky(math.pi + th / 2.0, tol) - lobachevsky(math.pi - th / 2.0, tol)
+        lobachevsky(math.pi + th / 2.0) - lobachevsky(math.pi - th / 2.0)
     )

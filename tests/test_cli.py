@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -199,26 +196,3 @@ class TestChecksAndExitCodes:
                                "--method", "float")
         assert code == 70
         assert "float window" in err
-
-    def test_bad_threads_is_64(self):
-        code, _, _ = run_cli("--threads", "0", "volume")
-        assert code == 64
-
-    def test_threads_flag_accepted(self):
-        code, out, _ = run_cli("--threads", "2", "volume")
-        assert code == 0
-
-    def test_jones_threads_env(self):
-        env = dict(os.environ, JONES_THREADS="2")
-        out = subprocess.run(
-            [sys.executable, "-m", "fig8jones.cli", "volume"],
-            env=env, capture_output=True, text=True)
-        assert out.returncode == 0
-        assert abs(float(out.stdout) - 2.029883213) < 1e-8
-
-    def test_bad_jones_threads_env(self):
-        env = dict(os.environ, JONES_THREADS="many")
-        out = subprocess.run(
-            [sys.executable, "-m", "fig8jones.cli", "volume"],
-            env=env, capture_output=True, text=True)
-        assert out.returncode == 64

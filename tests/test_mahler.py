@@ -144,9 +144,6 @@ class TestQuadrature:
         # t - 1 vanishes at x = 0; midpoint grids dodge it, so force a
         # hitting grid via an even n and a shifted sampler
         class ShiftedRootSampler:
-            def __call__(self, x):
-                return LaurentSampler(LaurentPolynomialZ(0, (-1, 1)))(x)
-
             def batch(self, xs):
                 s, l = LaurentPolynomialZ(0, (-1, 1)).eval_circle_batch(xs - 0.5 / 4096)
                 return s, l
