@@ -44,7 +44,11 @@ class TestScanAgreement:
         for N, x in self.CASES:
             check(_kernels.jones_scan(N, x), oracle(N, mpmath.mpf(x)))
         # x = r/N exactly: factor j vanishes when r (c -+ j) = 0 mod N
-        for c, r, N in ((801, 1, 800), (799, 1, 800), (803, 3, 800)):
+        # (960, 5, 800), (450, 2, 300) and (400, 3, 301) stop at j = 160,
+        # 150 and 99, far from both ends of the row; their terms keep one
+        # sign from k = 1 on, so the sums are well conditioned
+        for c, r, N in ((801, 1, 800), (799, 1, 800), (803, 3, 800),
+                        (960, 5, 800), (450, 2, 300), (400, 3, 301)):
             z = oracle(c, mpmath.mpf(r) / N,
                        lambda j: r * (c - j) % N == 0 or r * (c + j) % N == 0)
             check(_kernels.jones_scan_exact(c, r, N), z)
@@ -89,13 +93,15 @@ class TestScanAgreement:
 
 class TestGrids:
     @staticmethod
-    def assert_grid_is_scan(Ns, xs):
+    def assert_grid_is_scan(Ns, xs, every=1):
         # bit for bit: the chunked grid and the one-row scan must run the
-        # same floating-point operations on every point
+        # same floating-point operations on every point (on every
+        # `every`-th point, where scanning them all would be slow)
         gs, gl = _kernels.jones_grid(Ns, xs)
         assert gs.dtype == np.int8 and gl.dtype == np.float64
         assert gs.shape == gl.shape == (len(xs),)
-        for i, (N, x) in enumerate(zip(Ns.tolist(), xs.tolist())):
+        for i in range(0, len(xs), every):
+            N, x = int(Ns[i]), float(xs[i])
             s, l = _kernels.jones_scan(N, x)
             assert gs[i] == s, (N, x)
             assert gl[i].tobytes() == np.float64(l).tobytes(), (N, x)
@@ -119,9 +125,43 @@ class TestGrids:
         self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
 
     def test_grid_dyadic_quadrature_grid(self):
-        n = 1 << 12
+        # dyadic points go through the integer-phase core once per
+        # x <-> 1-x pair and must still equal the float-phase scan
+        n = 1 << 14
         xs = (np.arange(n) + 0.5) / n
-        self.assert_grid_is_scan(np.full(n, 300, dtype=np.int64), xs)
+        for N, every in ((2, 5), (5, 5), (1000, 7), (4097, 31)):
+            self.assert_grid_is_scan(np.full(n, N, dtype=np.int64), xs, every)
+        # the 8-point refinement of log_mahler_quadrature: denominator 2^18
+        panels = np.array([0, 1, 77, 4095, 8191, 8192, n - 78, n - 2, n - 1])
+        sub = ((panels[:, None] + (np.arange(8) + 0.5) / 8.0) / n).ravel()
+        for N in (5, 1000):
+            self.assert_grid_is_scan(np.full(len(sub), N, dtype=np.int64), sub)
+
+    def test_grid_dyadic_mirror_pairs(self):
+        # x and 1 - x side by side, 0 and 1/2 (their own mirrors), and
+        # x = k/2^e on both sides of e + bit_length(N) = 53 at N = 1000
+        half = np.array([0.5 ** 3, 3 / 1024, 0.5 ** 20, 0.3125, 0.5 ** 43,
+                         0.5 ** 44, 1 - 0.5 ** 43 - 0.5 ** 42])
+        xs = np.concatenate([half, 1.0 - half, [0.0, 0.5, 0.25, 0.75]])
+        for N in (1, 3, 7, 64, 1000):
+            self.assert_grid_is_scan(np.full(len(xs), N, dtype=np.int64), xs)
+
+    def test_grid_dyadic_past_exactness_limit_takes_float_path(self, monkeypatch):
+        # 2^-50 at N = 1000: 50 + bit_length(1000) = 60 > 53, so x*j need
+        # not be exact; 1 - 2^-50 shows it, its products round
+        seen = []
+        factors = _kernels._factors
+
+        def spy(N, xs):
+            seen.extend(xs.tolist())
+            return factors(N, xs)
+
+        monkeypatch.setattr(_kernels, "_factors", spy)
+        xs = np.array([0.5 ** 50, 1 - 0.5 ** 50, 0.5 ** 43, 0.5])
+        Ns = np.full(len(xs), 1000, dtype=np.int64)
+        _kernels.jones_grid(Ns, xs)
+        assert sorted(seen) == [0.5 ** 50, 1 - 0.5 ** 50]
+        self.assert_grid_is_scan(Ns, xs)
 
     def test_grid_empty_and_inputs_untouched(self):
         gs, gl = _kernels.jones_grid(np.array([], dtype=np.int64), np.array([]))
@@ -134,12 +174,31 @@ class TestGrids:
         assert np.array_equal(Ns, Ns0) and np.array_equal(xs, xs0)
 
     def test_grid_exact_matches_pointwise(self):
-        cs = np.arange(1, 40, 2, dtype=np.int64)
-        gs, gl = _kernels.jones_grid_exact(cs, 1, 20)
-        for i, c in enumerate(cs):
-            s, l = _kernels.jones_scan_exact(int(c), 1, 20)
-            assert gs[i] == s
-            assert (gl[i] == l) or (math.isinf(gl[i]) and math.isinf(l))
+        # over all odd colors, many past their first dead factor; the
+        # colors stop there, and the sum must equal, bit for bit, the
+        # full row with its dead factors zeroed
+        def full_row(c, r, N):
+            q = r * np.arange(1, c) % N
+            q = np.minimum(q, N - q)
+            qc = min(r * c % N, N - r * c % N)
+            g = (2.0 * np.cos(2.0 * np.pi * qc / N)
+                 - 2.0 * np.cos(2.0 * np.pi * q / N))
+            g[q == qc] = 0.0
+            s, l = _kernels._reduce(*_kernels._log_prefix(g[None, :]))
+            return int(s[0]), l[0], bool((q == qc).any())
+
+        for N, r in ((20, 1), (800, 1), (300, 2), (301, 3)):
+            cs = np.arange(1, 2 * N, 2, dtype=np.int64)
+            gs, gl = _kernels.jones_grid_exact(cs, r, N)
+            dead = 0
+            for i, c in enumerate(cs.tolist()):
+                s, l = _kernels.jones_scan_exact(c, r, N)
+                fs, fl, has_dead = full_row(c, r, N)
+                dead += has_dead
+                assert gs[i] == s == fs, (c, r, N)
+                assert (gl[i].tobytes() == np.float64(l).tobytes()
+                        == fl.tobytes()), (c, r, N)
+            assert dead > len(cs) // 4
 
     def test_concurrent_callers_get_identical_results(self):
         # pure functions: many threads evaluating the same points must
