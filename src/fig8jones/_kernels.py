@@ -10,9 +10,8 @@ g(j) = 2 cos(2 pi x c) - 2 cos(2 pi x j).  Phases are folded into
 [0, 1/2] (cos is even around a full turn), which keeps large-argument
 cosine accuracy.  They reach the cosines by one of two routes:
 
-* Float phases (``_factors``): x first folded exactly into [0, 1/2]
-  (``_fold_x``), then x*j in floating point, one cosine per factor.
-  The scans, ``jones_prefix`` and the non-dyadic points of
+* Float phases (``_factors``): x*j in floating point, one cosine per
+  factor.  The scans, ``jones_prefix`` and the non-dyadic points of
   ``jones_grid`` take this route; it is the reference the grid tests
   compare against.
 * Integer phases: x = k/Q with integer k, folded numerators
@@ -29,17 +28,10 @@ cosine accuracy.  They reach the cosines by one of two routes:
   fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so this route reproduces the
   float route's factors bit for bit.
 
-Near-zero factors (``_refine``): a cosine difference near a root of
-g(j) keeps no correct digit, and the prefix products past it regrow from
-that noise.  Factors under a small threshold are recomputed as
--4 sin(pi x (c + j)) sin(pi x (c - j)) with x (c -+ j) reduced exactly.
-The float route and the dyadic integer route refine alike, so they stay
-bit-identical; ``jones_grid_exact`` keeps its exact zeros unrefined.
-
-The x <-> 1-x fold: 1 - x is exact for x in [1/2, 1], so every route
-evaluates min(x, 1 - x), and a pair x, 1 - x of floats gets bit-identical
-values.  ``jones_grid`` maps each dyadic x to min(x, 1 - x), evaluates
-each distinct value of a color once and scatters the results back, which
+The x <-> 1-x fold: for such a dyadic x, 1 - x and every (1 - x) j are
+exact too, so x and 1 - x have bit-identical folded phases and values.
+``jones_grid`` maps each dyadic x to min(x, 1 - x), evaluates each
+distinct value of a color once and scatters the results back, which
 halves the work of a symmetric grid such as the quadrature midpoints.
 
 Early exit: on integer phases g(j) = 0 exactly when q_j == q_c, and the
@@ -72,11 +64,6 @@ import numpy as np
 # quadrature grids fastest on a 2-core Xeon with 2 MiB of L2 per core.
 _CHUNK_FACTORS = 1 << 14
 
-# Factors below _TAU (x c + 1) in magnitude are recomputed as a product of
-# sines (_refine); _SPLIT is Dekker's splitter for 53-bit floats.
-_TAU = 2.0 ** -16
-_SPLIT = 2.0 ** 27 + 1.0
-
 
 def current_backend() -> str:
     """Name of the kernel implementation, as recorded in benchmark runs."""
@@ -85,9 +72,7 @@ def current_backend() -> str:
 
 def _factors(N, xs):
     """Rows g(j), j = 1..N-1, at t = exp(2 pi i x) for each x of xs,
-    x folded into [0, 1/2] first and phases after, near-zero factors
-    refined."""
-    xs = _fold_x(xs)
+    phases folded into [0, 1/2]."""
     uN = xs * N
     uN -= np.floor(uN)
     gN = 2.0 * np.cos(2.0 * np.pi * np.minimum(uN, 1.0 - uN))
@@ -99,61 +84,7 @@ def _factors(N, xs):
     u *= 2.0 * np.pi
     np.cos(u, out=u)
     u *= 2.0
-    # x = k/2^e with e + bit_length(N) <= 53 makes every x j exact
-    y = xs * 2.0 ** (53 - int(N).bit_length())
-    return _refine(np.subtract(gN[:, None], u, out=u), xs, N, y == np.floor(y))
-
-
-def _fold_x(xs):
-    """x -> min(f, 1 - f), f = |x| mod 1, exactly: the fractional part of
-    a float is a float, and 1 - f is exact for f in [1/2, 1] (Sterbenz).
-    J depends on x only through cos(2 pi x m) for integers m."""
-    f = np.abs(xs)
-    f -= np.floor(f)
-    return np.minimum(f, 1.0 - f, out=f)
-
-
-def _sin_pi(x, m):
-    """sin(pi x m) for x >= 0 and integer-valued m < 2^27, with x m reduced
-    by its nearest integer n before the sine: x = xh + xl (Dekker split,
-    xh of 26 bits), so xh m and xh m - n are exact and only xl m, about
-    2^-26 of x m, is rounded."""
-    t = _SPLIT * x
-    xh = t - (t - x)
-    u = xh * m
-    n = np.rint(u)
-    u -= n
-    u += (x - xh) * m
-    u *= np.pi
-    np.sin(u, out=u)
-    u[n % 2.0 == 1.0] *= -1.0
-    return u
-
-
-def _refine(g, xs, c, exact):
-    """Recompute in place the factors of rows g (folded xs, columns
-    j = 1, 2, ...) of color c with |g| < tau as
-    g(j) = -4 sin(pi x (c + j)) sin(pi x (c - j)).
-
-    The cosine difference carries an absolute error of about
-    2^-53 (8 pi x c + 8), or 2^-53 8 on rows whose phases x j are
-    ``exact``, so a factor near one of its roots comes out with no
-    correct digits, and every later prefix product with it.  The sine
-    product resolves each factor to a few ulps relative; below
-    tau = 2^-16 (x c + 1), or 2^-16 on exact rows, it replaces the
-    difference, which leaves the others a relative error under 2^-32.
-    Blocks of ``_CHUNK_FACTORS`` columns keep the mask small on long
-    scans."""
-    tau = (_TAU * np.where(exact, 1.0, xs * c + 1.0))[:, None]
-    for a in range(0, g.shape[1], _CHUNK_FACTORS):
-        blk = g[:, a:a + _CHUNK_FACTORS]
-        hit = np.flatnonzero(np.abs(blk) < tau)
-        if len(hit):
-            r, i = np.divmod(hit, blk.shape[1])
-            j = (i + (a + 1)).astype(np.float64)
-            s = _sin_pi(np.tile(xs[r], 2), np.concatenate((c + j, c - j)))
-            blk[r, i] = -4.0 * s[:len(j)] * s[len(j):]
-    return g
+    return np.subtract(gN[:, None], u, out=u)
 
 
 def _twocos(q, Q):
@@ -192,16 +123,13 @@ def _live(c, k, Q):
     return np.minimum(first, np.maximum(c, 1))
 
 
-def _live_reduce(gc, gq, live, c, xs=None):
+def _live_reduce(gc, gq, live, c):
     """Row-wise (signs, log|J_c|) of the integer-phase rows with factors
     g(j) = gc - gq[:, j-1].  Factors are formed only up to the chunk's
     longest live prefix; every term past a row's live prefix is dead
     (+0.0), and those past the formed ones are zero-filled, so every row
-    is summed over its full c terms.  Rows at float positions xs (the
-    dyadic points) are refined as the float path refines them."""
+    is summed over its full c terms."""
     g = gc[:, None] - gq[:, :int(live.max()) - 1]
-    if xs is not None:
-        _refine(g, xs, c, True)
     return _reduce(*_log_prefix(g), c)
 
 
@@ -300,8 +228,7 @@ def _grid_color(N, x):
         chunk = slice(k, k + rows)
         j = np.arange(1, int(live[chunk].max()), dtype=np.int64)
         gq = cos_q(_fold(np.multiply.outer(ks[chunk], j), Q))
-        us[chunk], ul[chunk] = _live_reduce(gc[chunk], gq, live[chunk], N,
-                                             ks[chunk] / Q)
+        us[chunk], ul[chunk] = _live_reduce(gc[chunk], gq, live[chunk], N)
     out_s[dyadic], out_l[dyadic] = us[inv], ul[inv]
     return out_s, out_l
 

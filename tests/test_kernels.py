@@ -15,15 +15,9 @@ class TestScanAgreement:
     # dominated-peak points only: alternating-cancellation positions
     # (r in (1/6, 1/2) at N >= 4000) sit at the noise floor, where the
     # two summation orders legitimately differ in the cancelled digits;
-    # (5, 0.5) exercises the exact-zero truncation.  The last six have a
-    # factor g(j) near a root, where 2cos - 2cos keeps no correct digit
-    # (unrefined, log|J| misses by 3e-4 at (81, 0.99) and 2 at
-    # (90, 0.99), and the sign at (194, 0.995)), though
-    # max_k |f(k)| <= e^4 |J| at all six
+    # (5, 0.5) exercises the exact-zero truncation
     CASES = [(2, 0.5), (3, 1 / 3), (5, 0.5), (7, 0.123), (100, 0.37),
-             (501, 0.95 / 501), (1000, 1.0 / 1000), (4096, 0.95 / 4096),
-             (81, 0.01), (81, 0.99), (90, 0.01), (90, 0.99), (194, 0.995),
-             (160, 0.005)]
+             (501, 0.95 / 501), (1000, 1.0 / 1000), (4096, 0.95 / 4096)]
 
     def test_against_mpmath_oracle(self):
         # 40-digit sum_k prod_{j<=k} (2cos 2 pi xN - 2cos 2 pi xj); log|J|
@@ -58,20 +52,6 @@ class TestScanAgreement:
             z = oracle(c, mpmath.mpf(r) / N,
                        lambda j: r * (c - j) % N == 0 or r * (c + j) % N == 0)
             check(_kernels.jones_scan_exact(c, r, N), z)
-
-    def test_sine_product_matches_cosine_difference(self, monkeypatch):
-        # with the threshold raised past every |g(j)| <= 4, each factor
-        # comes from the sine product (both parities of x (c -+ j)
-        # rounded, the scan of 40000 in three column blocks); away from
-        # roots the two forms agree to rounding
-        cases = [(7, 0.123), (100, 0.37), (501, 0.95 / 501), (1000, 0.001),
-                 (40000, 0.95 / 40000)]
-        want = [_kernels.jones_scan(N, x) for N, x in cases]
-        monkeypatch.setattr(_kernels, "_TAU", 8.0)
-        for (N, x), (s, l) in zip(cases, want):
-            got = _kernels.jones_scan(N, x)
-            assert got[0] == s, (N, x)
-            assert abs(got[1] - l) <= 1e-11 * max(1.0, abs(l)), (N, x)
 
     def test_exact_kernel_matches_float_kernel_without_zeros(self):
         # r/N with r not dividing into zero hits: both kernels see the
@@ -149,8 +129,11 @@ class TestGrids:
         # x <-> 1-x pair and must still equal the float-phase scan
         n = 1 << 14
         xs = (np.arange(n) + 0.5) / n
-        for N, every in ((2, 5), (5, 5), (1000, 7), (4097, 31)):
+        for N, every in ((2, 5), (5, 5), (300, 1), (1000, 7), (4097, 31)):
             self.assert_grid_is_scan(np.full(n, N, dtype=np.int64), xs, every)
+        m = 1 << 12
+        self.assert_grid_is_scan(np.full(m, 300, dtype=np.int64),
+                                 (np.arange(m) + 0.5) / m)
         # the 8-point refinement of log_mahler_quadrature: denominator 2^18
         panels = np.array([0, 1, 77, 4095, 8191, 8192, n - 78, n - 2, n - 1])
         sub = ((panels[:, None] + (np.arange(8) + 0.5) / 8.0) / n).ravel()
