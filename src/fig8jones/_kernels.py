@@ -15,18 +15,19 @@ cosine accuracy.  They reach the cosines by one of two routes:
   ``jones_grid`` take this route; it is the reference the grid tests
   compare against.
 * Integer phases: x = k/Q with integer k, folded numerators
-  q_j = min(k j mod Q, Q - k j mod Q), and factors tab[q_c] - tab[q_j]
-  from one table tab[q] = 2 cos(2 pi q/Q), q <= Q/2.  The table is built
-  only when its Q/2 + 1 cosines are no more than those it replaces;
-  otherwise the same expression is evaluated per phase, with the same
-  bits.  ``jones_grid_exact`` and ``jones_scan_exact`` use Q = N for
-  x = r/N, so factors that vanish mathematically are exactly zero (a
-  float phase misses them by an ulp and rebuilds noise past the dead
-  factor).  A ``jones_grid`` point with dyadic x in [0, 1), x = k/2^e
-  with e + bit_length(c) <= 53, uses Q = 2^e: every x*j, j <= c, is then
-  exact, and since dividing by a power of two is exact,
-  fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so this route reproduces the
-  float route's factors bit for bit.
+  q_j = min(k j mod Q, Q - k j mod Q), and factors
+  2 cos(2 pi q_c/Q) - 2 cos(2 pi q_j/Q).  ``jones_grid_exact`` uses
+  Q = N for x = r/N, so factors that vanish mathematically are exactly
+  zero (a float phase misses them by an ulp and rebuilds noise past the
+  dead factor); it needs one cosine per j and one per color, and
+  evaluates them directly.  A ``jones_grid`` point with dyadic x in
+  [0, 1), x = k/2^e with e + bit_length(c) <= 53, uses Q = 2^e: every
+  x*j, j <= c, is then exact, and since dividing by a power of two is
+  exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so this route
+  reproduces the float route's factors bit for bit.  Its factors come
+  from one table tab[q] = 2 cos(2 pi q/Q), q <= Q/2, built only when its
+  Q/2 + 1 cosines are no more than the factors they serve; otherwise the
+  color's dyadic points take the float route, with the same bits.
 
 The x <-> 1-x fold: for such a dyadic x, 1 - x and every (1 - x) j are
 exact too, so x and 1 - x have bit-identical folded phases and values.
@@ -92,15 +93,6 @@ def _twocos(q, Q):
     fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so these equal the float
     path's values at x = q/Q bit for bit."""
     return 2.0 * np.cos(2.0 * np.pi * q / Q)
-
-
-def _cos_lookup(Q, count):
-    """q -> 2 cos(2 pi q/Q) for folded q: through a table of its Q/2 + 1
-    values when those are no more than the ``count`` cosines it would
-    replace, else evaluated directly.  Both give the same bits."""
-    if Q // 2 + 1 <= count:
-        return _twocos(np.arange(Q // 2 + 1), Q).take
-    return lambda q: _twocos(q, Q)
 
 
 def _fold(q, Q):
@@ -183,11 +175,6 @@ def jones_scan(N: int, x: float) -> tuple[int, float]:
     return _scalar(_reduce(*_log_prefix(_factors(N, np.array([x], dtype=np.float64)))))
 
 
-def jones_scan_exact(c: int, r: int, N: int) -> tuple[int, float]:
-    """(sign, log|J_c|) at t = exp(2 pi i r/N), integer r, exact zeros."""
-    return _scalar(jones_grid_exact(np.array([c], dtype=np.int64), r, N))
-
-
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
     sgnf, logf = _log_prefix(_factors(N, np.array([x], dtype=np.float64)))
@@ -197,7 +184,8 @@ def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
 def _grid_color(N, x):
     """(signs, log|J_N|) at each position of x, in chunks of at most
     ``_CHUNK_FACTORS`` factors: dyadic x once per x <-> 1-x pair on the
-    integer core with Q = 2^e, the rest on the float path."""
+    integer core with Q = 2^e when its cosine table pays, the rest on
+    the float path."""
     out_s = np.empty(len(x), dtype=np.int8)
     out_l = np.empty(len(x), dtype=np.float64)
     rows = max(1, _CHUNK_FACTORS // max(N - 1, 1))
@@ -206,34 +194,39 @@ def _grid_color(N, x):
     e = 53 - N.bit_length()
     y = x * 2.0 ** e
     dyadic = (x >= 0.0) & (x < 1.0) & (y == np.floor(y))
-    idx = np.flatnonzero(~dyadic)
+    table = False
+    if dyadic.any():
+        ky = y[dyadic].astype(np.int64)
+        ks, inv = np.unique(np.minimum(ky, (1 << e) - ky), return_inverse=True)
+        # the smallest power-of-two denominator shared by all numerators
+        v = int(np.bitwise_or.reduce(ks))
+        tz = (v & -v).bit_length() - 1 if v else e
+        ks >>= tz
+        Q = 1 << (e - tz)
+        # a table of Q/2 + 1 cosines pays only when no longer than the
+        # factors it serves; the float route gives the same bits
+        table = Q // 2 + 1 <= len(ks) * N
+    idx = np.flatnonzero(~dyadic) if table else np.arange(len(x))
     for k in range(0, len(idx), rows):
         i = idx[k:k + rows]
         out_s[i], out_l[i] = _reduce(*_log_prefix(_factors(N, x[i])))
-    if not dyadic.any():
+    if not table:
         return out_s, out_l
-    ky = y[dyadic].astype(np.int64)
-    ks, inv = np.unique(np.minimum(ky, (1 << e) - ky), return_inverse=True)
-    # the smallest power-of-two denominator shared by all numerators
-    v = int(np.bitwise_or.reduce(ks))
-    tz = (v & -v).bit_length() - 1 if v else e
-    ks >>= tz
-    Q = 1 << (e - tz)
-    cos_q = _cos_lookup(Q, len(ks) * N)
-    gc = cos_q(_fold(ks * N, Q))
+    tab = _twocos(np.arange(Q // 2 + 1), Q)
+    gc = tab.take(_fold(ks * N, Q))
     live = _live(N, ks, Q)
     us = np.empty(len(ks), dtype=np.int8)
     ul = np.empty(len(ks), dtype=np.float64)
     for k in range(0, len(ks), rows):
         chunk = slice(k, k + rows)
         j = np.arange(1, int(live[chunk].max()), dtype=np.int64)
-        gq = cos_q(_fold(np.multiply.outer(ks[chunk], j), Q))
+        gq = tab.take(_fold(np.multiply.outer(ks[chunk], j), Q))
         us[chunk], ul[chunk] = _live_reduce(gc[chunk], gq, live[chunk], N)
     out_s[dyadic], out_l[dyadic] = us[inv], ul[inv]
     return out_s, out_l
 
 
-# The grids call the private helpers, never jones_scan*, so a wrapper put
+# The grids call the private helpers, never jones_scan, so a wrapper put
 # around a public kernel (perfbench/tracing.py) sees each point once.
 def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation over paired arrays of colors and positions."""
@@ -256,9 +249,8 @@ def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     out_l = np.empty(len(cs), dtype=np.float64)
     live = _live(cs, r, N)
     m = int(live.max(initial=1)) - 1
-    cos_q = _cos_lookup(N, m + len(cs))
-    gq = cos_q(_fold(r * np.arange(1, m + 1, dtype=np.int64), N))[None, :]
-    gc = cos_q(_fold(r * cs, N))
+    gq = _twocos(_fold(r * np.arange(1, m + 1, dtype=np.int64), N), N)[None, :]
+    gc = _twocos(_fold(r * cs, N), N)
     for i in range(len(cs)):
         out_s[i], out_l[i] = _scalar(
             _live_reduce(gc[i:i + 1], gq, live[i:i + 1], int(cs[i])))

@@ -128,7 +128,7 @@ def _cmd_eval(args) -> int:
     if v.sign == 0:
         raise ZeroValueError(f"J_N vanishes at N={p.N}, x={p.x}")
     print(f"sign={v.sign:+d} log_abs={_fmt(v.logabs)} "
-          f"normalized={_fmt(normalized_log(p))}")
+          f"normalized={_fmt(normalized_log(p, v))}")
     return EXIT_OK
 
 
@@ -321,8 +321,8 @@ def build_parser() -> _Parser:
     m = msub.add_parser("homology", help="|H_1| of the branched cyclic cover")
     m.add_argument("--N", type=int, required=True)
     m.add_argument("--poly", default=str(FIG8_ALEXANDER))
-    m.add_argument("--method", choices=("auto", "float", "exact"), default="auto",
-                   help="auto = exact integer arithmetic; float = complex "
+    m.add_argument("--method", choices=("exact", "float"), default="exact",
+                   help="exact = integer arithmetic; float = complex "
                         "product, refused (exit 70) once its forward error "
                         "bound reaches 0.25")
     m.add_argument("--check", action="store_true")

@@ -55,12 +55,6 @@ class SignedLogValue:
     def zero(cls) -> "SignedLogValue":
         return cls(0, -math.inf)
 
-    @classmethod
-    def from_float(cls, v: float) -> "SignedLogValue":
-        if v == 0.0:
-            return cls.zero()
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
     @property
     def value(self) -> float:
         """Back to an ordinary float; overflows to +-inf for huge logabs."""
@@ -150,10 +144,10 @@ def colored_jones(p: EvaluationPoint) -> SignedLogValue:
     return SignedLogValue(s, logabs)
 
 
-def normalized_log(p: EvaluationPoint) -> float:
-    """2 r pi log|J_N| / N with r = N*x, the quantity whose large-N limit
-    the piecewise limit curves describe."""
-    v = colored_jones(p)
+def normalized_log(p: EvaluationPoint, v: SignedLogValue) -> float:
+    """2 r pi log|J_N| / N with r = N*x and v = J_N at p (as from
+    ``colored_jones(p)``), the quantity whose large-N limit the piecewise
+    limit curves describe."""
     if v.sign == 0:
         raise ZeroValueError(
             f"J_N vanishes at N={p.N}, x={p.x}; normalized log undefined"

@@ -6,8 +6,7 @@ in r.  On [0,1] it is called V, on each interval (k, k+1) it repeats a
 single profile W of the fractional part.  Both are assembled from
 Lobachevsky-function differences driven by a branch angle:
 
-    branch value(x) = scale * (Lambda(x pi + theta/2 + shift)
-                               - Lambda(x pi - theta/2 + shift))
+    branch value(x) = scale * (Lambda(x pi + theta/2) - Lambda(x pi - theta/2))
 
 with theta = theta_r(x, variant).  The calibrated tables below were
 fixed against finite-N data (N = 2000..8000) and closed-form anchors:
@@ -51,7 +50,6 @@ class LimitBranch:
     lo: float
     hi: float
     variant: ThetaVariant | None  # None: the branch is identically zero
-    shift: float
     scale: float
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -59,8 +57,7 @@ class LimitBranch:
             return np.zeros_like(x)
         th = theta_r(x, self.variant)
         return self.scale * (
-            lobachevsky(x * np.pi + th / 2.0 + self.shift)
-            - lobachevsky(x * np.pi - th / 2.0 + self.shift)
+            lobachevsky(x * np.pi + th / 2.0) - lobachevsky(x * np.pi - th / 2.0)
         )
 
 
@@ -99,15 +96,15 @@ class PiecewiseLimitSpec:
 
 
 V_SPEC = PiecewiseLimitSpec((
-    LimitBranch(0.0, 1.0 / 6.0, None, 0.0, 0.0),
-    LimitBranch(1.0 / 6.0, 0.75, ThetaVariant.PLUS_HALF, 0.0, -2.0),
-    LimitBranch(0.75, 1.0, ThetaVariant.MINUS_HALF, 0.0, 2.0),
+    LimitBranch(0.0, 1.0 / 6.0, None, 0.0),
+    LimitBranch(1.0 / 6.0, 0.75, ThetaVariant.PLUS_HALF, -2.0),
+    LimitBranch(0.75, 1.0, ThetaVariant.MINUS_HALF, 2.0),
 ))
 
 W_SPEC = PiecewiseLimitSpec((
-    LimitBranch(0.0, 0.25, ThetaVariant.MINUS_HALF, 0.0, 2.0),
-    LimitBranch(0.25, 0.75, ThetaVariant.PLUS_HALF, 0.0, -2.0),
-    LimitBranch(0.75, 1.0, ThetaVariant.MINUS_HALF, 0.0, 2.0),
+    LimitBranch(0.0, 0.25, ThetaVariant.MINUS_HALF, 2.0),
+    LimitBranch(0.25, 0.75, ThetaVariant.PLUS_HALF, -2.0),
+    LimitBranch(0.75, 1.0, ThetaVariant.MINUS_HALF, 2.0),
 ))
 
 

@@ -60,10 +60,6 @@ class LaurentPolynomialZ:
         if not all(isinstance(v, int) for v in c):
             raise ValueError("coefficients must be integers")
 
-    @property
-    def degree_span(self) -> int:
-        return len(self.coefficients) - 1
-
     @classmethod
     def parse(cls, text: str) -> "LaurentPolynomialZ":
         """Parse the CLI syntax 'c0,c1,...,ck@low'; '@low' defaults to 0."""
@@ -77,13 +73,6 @@ class LaurentPolynomialZ:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coefficients) + f"@{self.low_exponent}"
-
-    def eval_at(self, z: complex) -> complex:
-        """Direct evaluation at a nonzero complex point."""
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc * z ** self.low_exponent
 
     def eval_circle_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log|f|) at z = exp(2 pi i xs); sign is that of |f|
@@ -304,12 +293,12 @@ def _homology_float(f: LaurentPolynomialZ, N: int) -> int:
     return int(nearest)
 
 
-def homology_order(f: LaurentPolynomialZ, N: int, method: str = "auto") -> int:
+def homology_order(f: LaurentPolynomialZ, N: int, method: str = "exact") -> int:
     """Order of the first homology of the N-fold branched cyclic cover
     whose Alexander polynomial is f: |prod_{d=1}^{N-1} f(zeta_N^d)|,
     and 0 when the product vanishes (infinite homology).
 
-    'exact' and 'auto' compute the product as an integer determinant.
+    'exact' computes the product as an integer determinant.
     'float' uses the complex product and raises PrecisionError unless
     its forward error bound, |prod| (sum_k 32 u d S / |f(zeta^k)| +
     3 u (N - 1)) with u = 2^-53, d the degree and S the sum of
@@ -327,7 +316,7 @@ def homology_order(f: LaurentPolynomialZ, N: int, method: str = "auto") -> int:
         )
     if method == "float":
         return _homology_float(f, N)
-    if method in ("exact", "auto"):
+    if method == "exact":
         return _homology_exact(f, N)
     raise ValueError(f"unknown method {method!r}")
 

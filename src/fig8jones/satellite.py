@@ -42,9 +42,6 @@ class ColorProfile:
     r: float
     rows: tuple[ProfileRow, ...]
 
-    def values(self) -> np.ndarray:
-        return np.array([row.value for row in self.rows])
-
 
 def cable_profile(N: int, r: float) -> ColorProfile:
     """Profile of J_c over odd colors c in [1, 2N-1] at t = exp(2 pi i r/N)."""

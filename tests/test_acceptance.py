@@ -101,7 +101,8 @@ def test_criterion_04_integer_r_two():
 
 def test_criterion_05_non_integer_r():
     r, N = 0.95, 2 * 10**4
-    finite = normalized_log(EvaluationPoint.from_r(N, r))
+    p = EvaluationPoint.from_r(N, r)
+    finite = normalized_log(p, colored_jones(p))
     cal2 = r * fj.limit_theorem3(r)       # the x2-calibrated branch value
     cal1 = cal2 / 2.0                     # the printed x1 scaling
     err2, err1 = abs(finite - cal2), abs(finite - cal1)
@@ -242,7 +243,7 @@ def profile_800():
 
 def test_criterion_11_profile_shape(profile_800):
     profile, dt = profile_800
-    vals = profile.values()
+    vals = np.array([row.value for row in profile.rows])
     cs = np.array([row.c for row in profile.rows])
     k = int(np.nanargmax(vals))
     head = float(np.nanmean(vals[(cs >= 1) & (cs <= 80)]))
@@ -268,7 +269,7 @@ def test_criterion_11_profile_shape(profile_800):
 def test_criterion_11_argmax_and_peak(profile_800):
     profile, _ = profile_800
     c_star = fj.argmax_color(800, 1.0)
-    vals = profile.values()
+    vals = np.array([row.value for row in profile.rows])
     peak = float(np.nanmax(vals))
     kashaev = 2.0 * math.pi * colored_jones(
         EvaluationPoint(800, 1.0 / 800)).logabs / 800

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fig8jones import _kernels
 from fig8jones.cli import main
 
 
@@ -53,6 +54,20 @@ class TestBasicCommands:
         code, out, _ = run_cli("eval", "--N", "1")
         assert code == 0
         assert "log_abs=0" in out and "sign=+1" in out
+
+    def test_eval_scans_once(self, monkeypatch):
+        # log_abs and normalized both come from one value of J_N
+        calls = []
+        scan = _kernels.jones_scan
+
+        def spy(N, x):
+            calls.append((N, x))
+            return scan(N, x)
+
+        monkeypatch.setattr(_kernels, "jones_scan", spy)
+        code, _, _ = run_cli("eval", "--N", "1000", "--r", "1.05")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestFigureCommand:

@@ -46,27 +46,30 @@ class TestScanAgreement:
         # x = r/N exactly: factor j vanishes when r (c -+ j) = 0 mod N
         # (960, 5, 800), (450, 2, 300) and (400, 3, 301) stop at j = 160,
         # 150 and 99, far from both ends of the row; their terms keep one
-        # sign from k = 1 on, so the sums are well conditioned
+        # sign from k = 1 on, so the sums are well conditioned.
+        # (5, 1, 10**7) needs five cosines of phases q/10^7
         for c, r, N in ((801, 1, 800), (799, 1, 800), (803, 3, 800),
-                        (960, 5, 800), (450, 2, 300), (400, 3, 301)):
+                        (960, 5, 800), (450, 2, 300), (400, 3, 301),
+                        (5, 1, 10**7)):
             z = oracle(c, mpmath.mpf(r) / N,
                        lambda j: r * (c - j) % N == 0 or r * (c + j) % N == 0)
-            check(_kernels.jones_scan_exact(c, r, N), z)
+            (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), r, N)
+            check((s, l), z)
 
     def test_exact_kernel_matches_float_kernel_without_zeros(self):
         # r/N with r not dividing into zero hits: both kernels see the
         # same mathematical product up to phase rounding
         for c, r, N in ((37, 3, 100), (150, 7, 400), (55, 2, 111)):
-            se, le = _kernels.jones_scan_exact(c, r, N)
+            (se,), (le,) = _kernels.jones_grid_exact(np.array([c]), r, N)
             sf, lf = _kernels.jones_scan(c, r / N)
             assert se == sf
             assert abs(le - lf) < 1e-8 * max(1.0, abs(le))
 
     def test_exact_kernel_zero_detection(self):
         # c = N + 1 at integer r = 1: factor j = 1 vanishes, J = 1
-        s, l = _kernels.jones_scan_exact(801, 1, 800)
+        (s,), (l,) = _kernels.jones_grid_exact(np.array([801]), 1, 800)
         assert (s, l) == (1, 0.0)
-        s, l = _kernels.jones_scan_exact(799, 1, 800)
+        (s,), (l,) = _kernels.jones_grid_exact(np.array([799]), 1, 800)
         assert (s, l) == (1, 0.0)
 
     def test_exact_kernel_against_direct_complex_evaluation(self):
@@ -78,9 +81,10 @@ class TestScanAgreement:
         for N in (6, 8, 12):
             for c in (N - 1, N + 1, 2 * N - 1):
                 assert abs(abs(brute_force_jones(c, 1.0 / N)) - 1.0) < 1e-9
-                assert _kernels.jones_scan_exact(c, 1, N) == (1, 0.0)
+                (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), 1, N)
+                assert (s, l) == (1, 0.0)
             z = abs(brute_force_jones(N, 1.0 / N))
-            s, l = _kernels.jones_scan_exact(N, 1, N)
+            (s,), (l,) = _kernels.jones_grid_exact(np.array([N]), 1, N)
             assert s == 1
             assert abs(l - math.log(z)) < 1e-9
 
@@ -151,7 +155,11 @@ class TestGrids:
 
     def test_grid_dyadic_past_exactness_limit_takes_float_path(self, monkeypatch):
         # 2^-50 at N = 1000: 50 + bit_length(1000) = 60 > 53, so x*j need
-        # not be exact; 1 - 2^-50 shows it, its products round
+        # not be exact; 1 - 2^-50 shows it, its products round.  2^-43
+        # and 2^-40 are exact, but their tables of 2^42 + 1 and 2^39 + 1
+        # cosines would serve 1000 factors a point, so they take the
+        # float route too.  The quarter points share a table of three
+        # cosines and stay on the integer core.
         seen = []
         factors = _kernels._factors
 
@@ -160,11 +168,13 @@ class TestGrids:
             return factors(N, xs)
 
         monkeypatch.setattr(_kernels, "_factors", spy)
-        xs = np.array([0.5 ** 50, 1 - 0.5 ** 50, 0.5 ** 43, 0.5])
-        Ns = np.full(len(xs), 1000, dtype=np.int64)
-        _kernels.jones_grid(Ns, xs)
-        assert sorted(seen) == [0.5 ** 50, 1 - 0.5 ** 50]
-        self.assert_grid_is_scan(Ns, xs)
+        far = [0.5 ** 50, 1 - 0.5 ** 50, 0.5 ** 43, 0.5 ** 40, 1 - 0.5 ** 40]
+        for xs, floated in ((far, far), ([0.25, 0.5, 0.75], [])):
+            seen.clear()
+            Ns = np.full(len(xs), 1000, dtype=np.int64)
+            _kernels.jones_grid(Ns, np.array(xs))
+            assert sorted(seen) == sorted(floated)
+            self.assert_grid_is_scan(Ns, np.array(xs))
 
     def test_grid_empty_and_inputs_untouched(self):
         gs, gl = _kernels.jones_grid(np.array([], dtype=np.int64), np.array([]))
@@ -195,7 +205,7 @@ class TestGrids:
             gs, gl = _kernels.jones_grid_exact(cs, r, N)
             dead = 0
             for i, c in enumerate(cs.tolist()):
-                s, l = _kernels.jones_scan_exact(c, r, N)
+                (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), r, N)
                 fs, fl, has_dead = full_row(c, r, N)
                 dead += has_dead
                 assert gs[i] == s == fs, (c, r, N)

@@ -5,7 +5,7 @@ import pytest
 
 from fig8jones import _kernels
 from fig8jones.errors import DomainError
-from fig8jones.jones_fig8 import EvaluationPoint, normalized_log
+from fig8jones.jones_fig8 import EvaluationPoint, colored_jones, normalized_log
 from fig8jones.limits import (
     ConvergenceRecord,
     LimitBranch,
@@ -28,7 +28,8 @@ BREAKPOINTS_W = (0.25, 0.75)
 
 def finite_n_oracle(N: int, r: float) -> float:
     """The quantity the limit curves predict, at finite N."""
-    return normalized_log(EvaluationPoint.from_r(N, r))
+    p = EvaluationPoint.from_r(N, r)
+    return normalized_log(p, colored_jones(p))
 
 
 class TestLimitTheorem3:
@@ -134,8 +135,8 @@ class TestPiecewiseSpec:
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
             PiecewiseLimitSpec((
-                LimitBranch(0.0, 0.5, None, 0.0, 0.0),
-                LimitBranch(0.6, 1.0, ThetaVariant.MINUS_HALF, 0.0, 2.0),
+                LimitBranch(0.0, 0.5, None, 0.0),
+                LimitBranch(0.6, 1.0, ThetaVariant.MINUS_HALF, 2.0),
             ))
 
     def test_branch_variant_covers_interval(self):

@@ -73,9 +73,6 @@ class TestLaurentPolynomial:
         with pytest.raises(ValueError):
             LaurentPolynomialZ(0, (1, 0))
 
-    def test_eval_at(self):
-        assert abs(FIG8_ALEXANDER.eval_at(-1 + 0j) - 5.0) < 1e-12
-
 
 class TestMahlerFromRoots:
     def test_monomial(self):

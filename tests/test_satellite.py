@@ -1,6 +1,6 @@
 import pytest
 
-from fig8jones.jones_fig8 import EvaluationPoint, normalized_log
+from fig8jones.jones_fig8 import EvaluationPoint, colored_jones, normalized_log
 from fig8jones.satellite import argmax_color, cable_profile
 
 
@@ -22,7 +22,8 @@ class TestCableProfile:
         N, r = 101, 0.95
         profile = cable_profile(N, r)
         row = next(row for row in profile.rows if row.c == N)
-        assert row.value == normalized_log(EvaluationPoint(N, r / N)) / r
+        p = EvaluationPoint(N, r / N)
+        assert row.value == normalized_log(p, colored_jones(p)) / r
 
     def test_c_equals_N_reproduces_normalized_log_integer_r(self):
         # integer r routes through the exact-phase kernel; the float
@@ -30,7 +31,8 @@ class TestCableProfile:
         N = 101
         profile = cable_profile(N, 1.0)
         row = next(row for row in profile.rows if row.c == N)
-        ref = normalized_log(EvaluationPoint(N, 1.0 / N))
+        p = EvaluationPoint(N, 1.0 / N)
+        ref = normalized_log(p, colored_jones(p))
         assert abs(row.value - ref) < 1e-9
 
     def test_dead_colors_at_root_of_unity(self):
