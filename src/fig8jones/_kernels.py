@@ -24,10 +24,11 @@ cosine accuracy.  They reach the cosines by one of two routes:
   [0, 1), x = k/2^e with e + bit_length(c) <= 53, uses Q = 2^e: every
   x*j, j <= c, is then exact, and since dividing by a power of two is
   exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so this route
-  reproduces the float route's factors bit for bit.  Its factors come
-  from one table tab[q] = 2 cos(2 pi q/Q), q <= Q/2, built only when its
-  Q/2 + 1 cosines are no more than the factors they serve; otherwise the
-  color's dyadic points take the float route, with the same bits.
+  reproduces the float route's factors bit for bit.  The dyadic points
+  of a color are grouped by their reduced denominator Q, and each group
+  takes its factors from one table tab[q] = 2 cos(2 pi q/Q), q <= Q/2,
+  built only when its Q/2 + 1 cosines are no more than the factors they
+  serve; otherwise that group takes the float route, with the same bits.
 
 The x <-> 1-x fold: for such a dyadic x, 1 - x and every (1 - x) j are
 exact too, so x and 1 - x have bit-identical folded phases and values.
@@ -36,31 +37,40 @@ distinct value of a color once and scatters the results back, which
 halves the work of a symmetric grid such as the quadrature midpoints.
 
 Early exit: on integer phases g(j) = 0 exactly when q_j == q_c, and the
-first such j follows from integer arithmetic (``_live``).  Past it every
-prefix product is 0, its log -inf, and its term exp(-inf) * 0 = +0.0.
-So the integer core forms factors, logs and exps only up to the longest
-live prefix in a chunk, then zero-fills the terms to the row's full
-length before ``np.sum``: the row holds the same values at the same
-length, so the pairwise-sum tree, and with it the result, is
-bit-identical to evaluating the whole row.
+first such j, at most c, follows from integer arithmetic (``_live``).
+Past it every prefix product is 0, its log -inf, and its term
+exp(-inf) * 0 = +0.0.  So the integer core forms factors, logs and exps
+only up to the longest live prefix in a chunk, and each row is summed
+over its color's full c terms, the ones past the formed columns +0.0:
+the row holds the same values at the same length, so the pairwise-sum
+tree, and with it the result, is bit-identical to evaluating the whole
+row.
 
 Layout: the core works on 2-D arrays of shape (rows, j), one row per
-evaluation point of the same color.  ``jones_grid`` sorts its points by
-color and evaluates each color in chunks of at most ``_CHUNK_FACTORS``
-factors (at least one row), so the per-point cost is a share of a few
-whole-array numpy calls rather than a Python iteration, and the working
-set of a chunk stays in cache.  The scans and ``jones_prefix`` are the
+evaluation point, in chunks of at most ``_CHUNK_FACTORS`` factors (at
+least one row), so the per-point cost is a share of a few whole-array
+numpy calls rather than a Python iteration, and the working set of a
+chunk stays in cache.  A chunk may hold rows of several colors: sorted
+by color (the float route of ``jones_grid``) or by live length
+(``jones_grid_exact``), each chunk is as wide as its longest row.  A
+shorter row runs past its own first vanishing factor, an exact 0.0 (on
+the float route g(c), two cosines of the same float x*c), so its extra
+columns are dead, and its cumsum/cumprod prefix and its max are those
+of the lone row.  Each row is then summed over its own width c
+(``_reduce``): one np.sum over the block when all widths agree, else a
+sum per row over exactly c terms.  The dyadic table route of
+``jones_grid`` runs per color.  The scans and ``jones_prefix`` are the
 one-row case.  Every row sees the same sequence of floating-point
 operations as a lone scan: cumsum/cumprod along a row are sequential
-recurrences and a row sum of a C-contiguous block is the same pairwise
-sum, so the grids match the scans bit for bit.
+recurrences and a sum over a contiguous row of c terms is the same
+pairwise sum, so the grids match the scans bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Factors per chunk of jones_grid: 128 KiB per float64 array, so the few
+# Factors per chunk of the grids: 128 KiB per float64 array, so the few
 # arrays a chunk keeps alive fit in L2.  Of 2^12..2^15, 2^14 ran the
 # quadrature grids fastest on a 2-core Xeon with 2 MiB of L2 per core.
 _CHUNK_FACTORS = 1 << 14
@@ -71,13 +81,16 @@ def current_backend() -> str:
     return "numpy"
 
 
-def _factors(N, xs):
-    """Rows g(j), j = 1..N-1, at t = exp(2 pi i x) for each x of xs,
-    phases folded into [0, 1/2]."""
-    uN = xs * N
+def _factors(cs, xs):
+    """Rows g(j), j = 1..max(cs)-1, at t = exp(2 pi i x) for the paired
+    colors c of cs and positions x of xs, phases folded into [0, 1/2].
+    A row of a shorter color is padded with dead factors: its g(c) takes
+    the same float x*c and cosine on both sides, so it is exactly 0.0."""
+    uN = xs * cs
     uN -= np.floor(uN)
     gN = 2.0 * np.cos(2.0 * np.pi * np.minimum(uN, 1.0 - uN))
-    u = np.multiply.outer(xs, np.arange(1, N, dtype=np.float64))
+    width = int(cs.max())
+    u = np.multiply.outer(xs, np.arange(1, width, dtype=np.float64))
     t = np.floor(u)
     u -= t
     np.subtract(1.0, u, out=t)
@@ -108,21 +121,22 @@ def _fold(q, Q):
 
 def _live(c, k, Q):
     """Number of terms f(0), f(1), ... before the first dead factor of
-    color c at t = exp(2 pi i k/Q).  g(j) vanishes exactly when
-    q_j == q_c, that is when Q / gcd(k, Q) divides c - j or c + j."""
+    color c >= 1 at t = exp(2 pi i k/Q).  g(j) vanishes exactly when
+    q_j == q_c, that is when Q / gcd(k, Q) divides c - j or c + j, at
+    j = c at the latest."""
     d = Q // np.gcd(k, Q)
-    first = np.minimum((c - 1) % d, (-c - 1) % d) + 1
-    return np.minimum(first, np.maximum(c, 1))
+    return np.minimum((c - 1) % d, (-c - 1) % d) + 1
 
 
-def _live_reduce(gc, gq, live, c):
-    """Row-wise (signs, log|J_c|) of the integer-phase rows with factors
-    g(j) = gc - gq[:, j-1].  Factors are formed only up to the chunk's
-    longest live prefix; every term past a row's live prefix is dead
-    (+0.0), and those past the formed ones are zero-filled, so every row
-    is summed over its full c terms."""
+def _live_reduce(gc, gq, live, widths):
+    """Row-wise (signs, log|J|) of the integer-phase rows with factors
+    g(j) = gc - gq[:, j-1], each row summed over its width (an int for
+    all rows or a list, one per row).  Factors are formed only up to the
+    chunk's longest live prefix; a shorter row holds its first dead
+    factor, an exact 0.0, so every term past a row's live prefix is dead
+    (+0.0)."""
     g = gc[:, None] - gq[:, :int(live.max()) - 1]
-    return _reduce(*_log_prefix(g), c)
+    return _reduce(*_log_prefix(g), widths)
 
 
 def _log_prefix(g):
@@ -144,25 +158,51 @@ def _log_prefix(g):
     return sgnf, logf
 
 
-def _reduce(sgnf, logf, width=0):
+def _reduce(sgnf, logf, widths=0):
     """Row-wise (signs, log|sum_k f(k)|): peel each row's max, then a
-    fixed-shape pairwise sum (np.sum) over ``width`` terms, the columns
+    fixed-shape pairwise sum (np.sum) over the row's width, an int for
+    all rows (logf's own by default) or a list, one per row, the columns
     past logf's being +0.0.  Overwrites logf.
 
     f(0) = 1 keeps every max finite, and exp(-inf) * 0 is +0.0 exactly
-    where a factor vanished, so no row needs masking."""
+    where a factor vanished, so no row needs masking.  Rows of one width
+    take one np.sum over the block; rows of several widths are summed
+    one by one from a zero buffer, each over exactly its own width, so
+    each keeps the pairwise-sum tree of a lone row."""
     M = np.max(logf, axis=1)
     np.subtract(logf, M[:, None], out=logf)
     np.exp(logf, out=logf)
     logf *= sgnf
     rows, n = logf.shape
-    if width > n:
-        terms = np.zeros((rows, width))
-        terms[:, :n] = logf
-        logf = terms
-    s = np.sum(logf, axis=1)
+    if isinstance(widths, list) and min(widths) < max(widths):
+        s = np.empty(rows)
+        buf = np.zeros(max(max(widths), n))
+        for i, w in enumerate(widths):
+            buf[:n] = logf[i]
+            s[i] = np.add.reduce(buf[:w])
+    else:
+        width = widths[0] if isinstance(widths, list) else widths
+        if width > n:
+            terms = np.zeros((rows, width))
+            terms[:, :n] = logf
+            logf = terms
+        s = np.sum(logf, axis=1)
     with np.errstate(divide="ignore"):
         return np.sign(s).astype(np.int8), M + np.log(np.abs(s))
+
+
+def _chunks(lengths):
+    """Slices of consecutive rows, factor counts ``lengths`` ascending,
+    each of at most ``_CHUNK_FACTORS`` factors with every row counted at
+    the chunk's longest (at least one row)."""
+    a = 0
+    while a < len(lengths):
+        # the rows that fit at the first length bound where the chunk can
+        # end, and the length there bounds every row it can hold
+        end = min(a + max(1, _CHUNK_FACTORS // max(lengths[a], 1)), len(lengths))
+        b = a + max(1, _CHUNK_FACTORS // max(lengths[end - 1], 1))
+        yield slice(a, b)
+        a = b
 
 
 def _scalar(sl):
@@ -172,86 +212,100 @@ def _scalar(sl):
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    return _scalar(_reduce(*_log_prefix(_factors(N, np.array([x], dtype=np.float64)))))
+    return _scalar(_reduce(*_log_prefix(_factors(np.array([N]), np.array([x], dtype=np.float64)))))
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
-    sgnf, logf = _log_prefix(_factors(N, np.array([x], dtype=np.float64)))
+    sgnf, logf = _log_prefix(_factors(np.array([N]), np.array([x], dtype=np.float64)))
     return sgnf[0], logf[0]
 
 
-def _grid_color(N, x):
-    """(signs, log|J_N|) at each position of x, in chunks of at most
-    ``_CHUNK_FACTORS`` factors: dyadic x once per x <-> 1-x pair on the
-    integer core with Q = 2^e when its cosine table pays, the rest on
-    the float path."""
-    out_s = np.empty(len(x), dtype=np.int8)
-    out_l = np.empty(len(x), dtype=np.float64)
-    rows = max(1, _CHUNK_FACTORS // max(N - 1, 1))
-    # x = k / 2^e with e + bit_length(N) <= 53 makes every x*j, j <= N,
-    # exact, so its folded float phases are exact and equal at 1 - x
-    e = 53 - N.bit_length()
-    y = x * 2.0 ** e
-    dyadic = (x >= 0.0) & (x < 1.0) & (y == np.floor(y))
-    table = False
-    if dyadic.any():
-        ky = y[dyadic].astype(np.int64)
-        ks, inv = np.unique(np.minimum(ky, (1 << e) - ky), return_inverse=True)
-        # the smallest power-of-two denominator shared by all numerators
-        v = int(np.bitwise_or.reduce(ks))
-        tz = (v & -v).bit_length() - 1 if v else e
-        ks >>= tz
-        Q = 1 << (e - tz)
-        # a table of Q/2 + 1 cosines pays only when no longer than the
-        # factors it serves; the float route gives the same bits
-        table = Q // 2 + 1 <= len(ks) * N
-    idx = np.flatnonzero(~dyadic) if table else np.arange(len(x))
-    for k in range(0, len(idx), rows):
-        i = idx[k:k + rows]
-        out_s[i], out_l[i] = _reduce(*_log_prefix(_factors(N, x[i])))
-    if not table:
-        return out_s, out_l
-    tab = _twocos(np.arange(Q // 2 + 1), Q)
-    gc = tab.take(_fold(ks * N, Q))
-    live = _live(N, ks, Q)
+def _grid_tables(N, e, ky):
+    """Dyadic points x = ky / 2^e of color N on the integer core, each
+    once per x <-> 1-x pair, in chunks of at most ``_CHUNK_FACTORS``
+    factors.  The points are grouped by their reduced denominator Q, and
+    a group is taken only when its table of Q/2 + 1 cosines is no longer
+    than the factors it serves; the float route gives the same bits.
+    Returns (taken, signs, logs), taken a mask over ky."""
+    ks, inv = np.unique(np.minimum(ky, (1 << e) - ky), return_inverse=True)
+    # each numerator's own power-of-two denominator 2^e / lowbit(k)
+    low = ks & -ks
+    low[ks == 0] = 1 << e
+    # with return_inverse np.unique sorts; without, numpy 2 first imports
+    # numpy.ma, some 25 ms of a short CLI run
+    Qs, by_Q = np.unique((1 << e) // low, return_inverse=True)
     us = np.empty(len(ks), dtype=np.int8)
     ul = np.empty(len(ks), dtype=np.float64)
-    for k in range(0, len(ks), rows):
-        chunk = slice(k, k + rows)
-        j = np.arange(1, int(live[chunk].max()), dtype=np.int64)
-        gq = tab.take(_fold(np.multiply.outer(ks[chunk], j), Q))
-        us[chunk], ul[chunk] = _live_reduce(gc[chunk], gq, live[chunk], N)
-    out_s[dyadic], out_l[dyadic] = us[inv], ul[inv]
-    return out_s, out_l
+    taken = np.zeros(len(ks), dtype=bool)
+    rows = max(1, _CHUNK_FACTORS // max(N - 1, 1))
+    for g, Q in enumerate(Qs.tolist()):
+        group = np.flatnonzero(by_Q == g)
+        if Q // 2 + 1 > len(group) * N:
+            continue
+        taken[group] = True
+        tab = _twocos(np.arange(Q // 2 + 1), Q)
+        k = ks[group] // ((1 << e) // Q)
+        gc = tab.take(_fold(k * N, Q))
+        live = _live(N, k, Q)
+        for a in range(0, len(k), rows):
+            chunk = slice(a, a + rows)
+            j = np.arange(1, int(live[chunk].max()), dtype=np.int64)
+            gq = tab.take(_fold(np.multiply.outer(k[chunk], j), Q))
+            i = group[chunk]
+            us[i], ul[i] = _live_reduce(gc[chunk], gq, live[chunk], N)
+    taken = taken[inv]
+    return taken, us[inv][taken], ul[inv][taken]
 
 
 # The grids call the private helpers, never jones_scan, so a wrapper put
 # around a public kernel (perfbench/tracing.py) sees each point once.
 def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Vector evaluation over paired arrays of colors and positions."""
-    Ns = np.asarray(Ns, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.float64)
-    out_s = np.empty(len(xs), dtype=np.int8)
-    out_l = np.empty(len(xs), dtype=np.float64)
-    if len(xs) == 0:
-        return out_s, out_l
+    """Vector evaluation over paired arrays of colors and positions.  A
+    color below 1 has no factor, as color 1."""
     order = np.argsort(Ns, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(Ns[order])) + 1):
-        out_s[group], out_l[group] = _grid_color(int(Ns[group[0]]), xs[group])
+    Ns = np.maximum(np.asarray(Ns, dtype=np.int64), 1)[order]
+    xs = np.asarray(xs, dtype=np.float64)[order]
+    sgn = np.empty(len(xs), dtype=np.int8)
+    log = np.empty(len(xs), dtype=np.float64)
+    # x = k / 2^e with e + bit_length(N) <= 53 makes every x*j, j <= N,
+    # exact, so its folded float phases are exact and equal at 1 - x
+    e = 53 - np.frexp(Ns.astype(np.float64))[1]
+    y = np.ldexp(xs, e)
+    floated = ~((xs >= 0.0) & (xs < 1.0) & (y == np.floor(y)))
+    dyadic = np.flatnonzero(~floated)
+    runs = np.flatnonzero(np.diff(Ns[dyadic])) + 1
+    for group in np.split(dyadic, runs) if len(dyadic) else ():
+        i = group[0]
+        taken, s, l = _grid_tables(int(Ns[i]), int(e[i]), y[group].astype(np.int64))
+        sgn[group[taken]], log[group[taken]] = s, l
+        floated[group[~taken]] = True
+    # the rest, of every color, in one float-phase pass sorted by color
+    idx = np.flatnonzero(floated)
+    cs = Ns[idx]
+    for chunk in _chunks((cs - 1).tolist()):
+        i = idx[chunk]
+        sgn[i], log[i] = _reduce(*_log_prefix(_factors(cs[chunk], xs[i])), cs[chunk].tolist())
+    out_s = np.empty_like(sgn)
+    out_l = np.empty_like(log)
+    out_s[order], out_l[order] = sgn, log
     return out_s, out_l
 
 
 def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vector evaluation of colors cs at t = exp(2 pi i r/N), integer r."""
-    cs = np.asarray(cs, dtype=np.int64)
-    out_s = np.empty(len(cs), dtype=np.int8)
-    out_l = np.empty(len(cs), dtype=np.float64)
+    """Vector evaluation of colors cs at t = exp(2 pi i r/N), integer r;
+    a color below 1 has no factor, as color 1.  Each distinct color is
+    evaluated once, and sorted by live length, colors of every width
+    share chunks through one row of cosines 2cos(2 pi q_j/N)."""
+    cs, inv = np.unique(np.maximum(np.asarray(cs, dtype=np.int64), 1), return_inverse=True)
+    us = np.empty(len(cs), dtype=np.int8)
+    ul = np.empty(len(cs), dtype=np.float64)
     live = _live(cs, r, N)
     m = int(live.max(initial=1)) - 1
     gq = _twocos(_fold(r * np.arange(1, m + 1, dtype=np.int64), N), N)[None, :]
     gc = _twocos(_fold(r * cs, N), N)
-    for i in range(len(cs)):
-        out_s[i], out_l[i] = _scalar(
-            _live_reduce(gc[i:i + 1], gq, live[i:i + 1], int(cs[i])))
-    return out_s, out_l
+    order = np.argsort(live, kind="stable")
+    for chunk in _chunks((live[order] - 1).tolist()):
+        i = order[chunk]
+        us[i], ul[i] = _live_reduce(gc[i], gq, live[i], cs[i].tolist())
+    return us[inv], ul[inv]

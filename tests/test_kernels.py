@@ -118,6 +118,16 @@ class TestGrids:
         xs = np.array([0.31, 0.2, 0.0, 0.75, 0.0, 0.5, 0.0, 0.5, 0.41, 0.9,
                        0.13, 0.55, 0.031, 0.9 / 500, 0.2])
         self.assert_grid_is_scan(Ns, xs)
+        # every odd color at one non-dyadic x, the non-integer cable
+        # profile: chunks of rows of many colors, each of its own width.
+        # A shorter row of a chunk stops at its own color: g(c) subtracts
+        # two cosines of the same float x*c, so it is exactly 0.0
+        for N, r in ((800, 1.5), (301, 0.7)):
+            cs = np.arange(1, 2 * N, 2, dtype=np.int64)
+            xs = np.full(len(cs), r / N)
+            self.assert_grid_is_scan(cs, xs)
+            g = _kernels._factors(cs, xs)
+            assert (g[np.arange(len(cs) - 1), cs[:-1] - 1] == 0.0).all()
 
     def test_grid_color_spanning_chunks(self):
         # N = 101 fills two whole chunks plus a remainder, interleaved
@@ -158,8 +168,9 @@ class TestGrids:
         # not be exact; 1 - 2^-50 shows it, its products round.  2^-43
         # and 2^-40 are exact, but their tables of 2^42 + 1 and 2^39 + 1
         # cosines would serve 1000 factors a point, so they take the
-        # float route too.  The quarter points share a table of three
-        # cosines and stay on the integer core.
+        # float route too.  The quarter points stay on the integer core,
+        # on tables of two and three cosines, also beside 2^-43: each
+        # reduced denominator has its own table, or takes the float route.
         seen = []
         factors = _kernels._factors
 
@@ -169,7 +180,9 @@ class TestGrids:
 
         monkeypatch.setattr(_kernels, "_factors", spy)
         far = [0.5 ** 50, 1 - 0.5 ** 50, 0.5 ** 43, 0.5 ** 40, 1 - 0.5 ** 40]
-        for xs, floated in ((far, far), ([0.25, 0.5, 0.75], [])):
+        quarters = [0.25, 0.5, 0.75]
+        for xs, floated in ((far, far), (quarters, []),
+                            (quarters + [0.5 ** 43], [0.5 ** 43])):
             seen.clear()
             Ns = np.full(len(xs), 1000, dtype=np.int64)
             _kernels.jones_grid(Ns, np.array(xs))
@@ -189,7 +202,7 @@ class TestGrids:
     def test_grid_exact_matches_pointwise(self):
         # over all odd colors, many past their first dead factor; the
         # colors stop there, and the sum must equal, bit for bit, the
-        # full row with its dead factors zeroed
+        # full row with its dead factors zeroed and the one-color call
         def full_row(c, r, N):
             q = r * np.arange(1, c) % N
             q = np.minimum(q, N - q)
@@ -200,9 +213,11 @@ class TestGrids:
             s, l = _kernels._reduce(*_kernels._log_prefix(g[None, :]))
             return int(s[0]), l[0], bool((q == qc).any())
 
-        for N, r in ((20, 1), (800, 1), (300, 2), (301, 3)):
-            cs = np.arange(1, 2 * N, 2, dtype=np.int64)
+        def dead_rows(cs, r, N):
+            cs = np.array(cs, dtype=np.int64)
             gs, gl = _kernels.jones_grid_exact(cs, r, N)
+            assert gs.dtype == np.int8 and gl.dtype == np.float64
+            assert gs.shape == gl.shape == cs.shape
             dead = 0
             for i, c in enumerate(cs.tolist()):
                 (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), r, N)
@@ -211,7 +226,36 @@ class TestGrids:
                 assert gs[i] == s == fs, (c, r, N)
                 assert (gl[i].tobytes() == np.float64(l).tobytes()
                         == fl.tobytes()), (c, r, N)
-            assert dead > len(cs) // 4
+            return dead
+
+        for N, r in ((20, 1), (800, 1), (300, 2), (301, 3)):
+            cs = np.arange(1, 2 * N, 2, dtype=np.int64)
+            assert dead_rows(cs, r, N) > len(cs) // 4
+        # colors out of order and repeated; c = 1 and no color at all; a
+        # color whose live prefix alone exceeds a chunk; every 7th odd
+        # color, so chunks hold many rows of different widths
+        shuffled = np.random.default_rng(8).permutation(
+            np.concatenate([np.arange(1, 600, 2), np.arange(1, 600, 6), [301] * 5]))
+        assert _kernels._live(20001, 1, 40000) > _kernels._CHUNK_FACTORS
+        for cs, r, N in ((shuffled, 2, 300), ([1], 1, 800), ([1, 1, 3], 3, 301),
+                         ([], 1, 800), ([3, 20001, 5], 1, 40000),
+                         (np.arange(1, 6000, 14), 1, 3000)):
+            dead_rows(cs, r, N)
+
+    def test_grid_exact_memory_stays_within_chunks(self):
+        # all 3000 odd colors at once: a few chunk-sized arrays at a time,
+        # so a chunk budget that ignored the padding to its longest row,
+        # or zero-filled every row to its full width, would exceed this
+        import tracemalloc
+
+        cs = np.arange(1, 6000, 2, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            _kernels.jones_grid_exact(cs, 1, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * _kernels._CHUNK_FACTORS
 
     def test_concurrent_callers_get_identical_results(self):
         # pure functions: many threads evaluating the same points must
