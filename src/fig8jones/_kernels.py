@@ -64,15 +64,32 @@ one-row case.  Every row sees the same sequence of floating-point
 operations as a lone scan: cumsum/cumprod along a row are sequential
 recurrences and a sum over a contiguous row of c terms is the same
 pairwise sum, so the grids match the scans bit for bit.
+
+Within a chunk the core runs in column blocks of at most
+``_CHUNK_FACTORS // rows + 1`` columns (``_block_width``), so every chunk of the
+grids is one block and only a lone row longer than ``_CHUNK_FACTORS``
+(a long scan, ``jones_prefix``, a long color) takes several.  Each
+block's factors are built in two reused chunk-sized buffers, and its
+first log and sign take the row's carried prefix, logf[a] and sgnf[a],
+before the cumsum and cumprod: the same sequential recurrences, so the
+prefixes are bit for bit those of the whole row.  ``_reduce`` takes the
+row max in one np.max (the max of the block maxima, exact) and
+subtracts it, exps and multiplies by the sign block by block in place;
+one np.sum over the row keeps the pairwise-sum tree.  Only the prefix
+arrays stay full length, 9 bytes per factor (float64 logs, int8
+signs): every exp needs the row's global max, so logf cannot be
+released block by block without rescaling, which would move last
+digits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Factors per chunk of the grids: 128 KiB per float64 array, so the few
-# arrays a chunk keeps alive fit in L2.  Of 2^12..2^15, 2^14 ran the
-# quadrature grids fastest on a 2-core Xeon with 2 MiB of L2 per core.
+# Factors per chunk of the grids, and per column block of a long row:
+# 128 KiB per float64 array, so the few arrays a chunk keeps alive fit
+# in L2.  Of 2^12..2^15, 2^14 ran the quadrature grids fastest on a
+# 2-core Xeon with 2 MiB of L2 per core.
 _CHUNK_FACTORS = 1 << 14
 
 
@@ -82,23 +99,34 @@ def current_backend() -> str:
 
 
 def _factors(cs, xs):
-    """Rows g(j), j = 1..max(cs)-1, at t = exp(2 pi i x) for the paired
-    colors c of cs and positions x of xs, phases folded into [0, 1/2].
-    A row of a shorter color is padded with dead factors: its g(c) takes
-    the same float x*c and cosine on both sides, so it is exactly 0.0."""
+    """Float-phase factors at t = exp(2 pi i x) for the paired colors c
+    of cs and positions x of xs, phases folded into [0, 1/2], as a
+    ``fill`` for ``_log_prefix``: fill(a, b, out, tmp) writes the rows'
+    g(j), j = a+1..b, into out and returns it, using tmp (out's shape)
+    as scratch.  A row of a shorter color is padded with dead factors:
+    its g(c) takes the same float x*c and cosine on both sides, so it is
+    exactly 0.0."""
     uN = xs * cs
     uN -= np.floor(uN)
     gN = 2.0 * np.cos(2.0 * np.pi * np.minimum(uN, 1.0 - uN))
-    width = int(cs.max())
-    u = np.multiply.outer(xs, np.arange(1, width, dtype=np.float64))
-    t = np.floor(u)
-    u -= t
-    np.subtract(1.0, u, out=t)
-    np.minimum(u, t, out=u)
-    u *= 2.0 * np.pi
-    np.cos(u, out=u)
-    u *= 2.0
-    return np.subtract(gN[:, None], u, out=u)
+
+    def fill(a, b, u, t):
+        np.multiply.outer(xs, np.arange(a + 1, b + 1, dtype=np.float64), out=u)
+        np.floor(u, out=t)
+        u -= t
+        np.subtract(1.0, u, out=t)
+        np.minimum(u, t, out=u)
+        u *= 2.0 * np.pi
+        np.cos(u, out=u)
+        u *= 2.0
+        return np.subtract(gN[:, None], u, out=u)
+
+    return fill
+
+
+def _float_prefix(cs, xs):
+    """``_log_prefix`` of the float-phase rows of colors cs >= 1 at xs."""
+    return _log_prefix(_factors(cs, xs), len(cs), int(cs.max()) - 1)
 
 
 def _twocos(q, Q):
@@ -135,26 +163,53 @@ def _live_reduce(gc, gq, live, widths):
     chunk's longest live prefix; a shorter row holds its first dead
     factor, an exact 0.0, so every term past a row's live prefix is dead
     (+0.0)."""
-    g = gc[:, None] - gq[:, :int(live.max()) - 1]
-    return _reduce(*_log_prefix(g), widths)
+
+    def fill(a, b, out, tmp):
+        return np.subtract(gc[:, None], gq[:, a:b], out=out)
+
+    return _reduce(*_log_prefix(fill, len(gc), int(live.max()) - 1), widths)
 
 
-def _log_prefix(g):
-    """Row-wise (signs, log|f(k)|) of the partial products
-    f(k) = g(1)...g(k), f(0) = 1.  Overwrites g.  A vanished factor's
-    log|0| = -inf carries through the cumsum, so dead prefixes read
-    -inf exactly where their sign is 0."""
-    rows, n = g.shape
+def _block_width(rows):
+    """Columns per block of the core, ``_CHUNK_FACTORS // rows`` plus one
+    so that a chunk of the grids is a single block both in its factors
+    and in its prefixes f(0..n), one column longer: its numpy calls see
+    whole contiguous arrays.  Only a lone row longer than
+    ``_CHUNK_FACTORS`` takes several blocks."""
+    return _CHUNK_FACTORS // rows + 1
+
+
+def _log_prefix(fill, rows, n):
+    """Row-wise (signs, log|f(k)|), k = 0..n, of the partial products
+    f(k) = g(1)...g(k), f(0) = 1, of the n factors a row that
+    fill(a, b, out, tmp) writes, j = a+1..b, into out.  Factors are
+    built one column block (``_block_width``) at a time in two reused
+    buffers; each block's first log and sign take the row's prefix
+    before the block, so cumsum and cumprod run the same sequential
+    recurrences as over the whole row, and only the results stay full
+    length, 9 bytes per factor.  A vanished factor's log|0| = -inf
+    carries through the cumsum, so dead prefixes read -inf exactly where
+    their sign is 0."""
     sgnf = np.empty((rows, n + 1), dtype=np.int8)
     logf = np.empty((rows, n + 1))
     sgnf[:, 0] = 1
     logf[:, 0] = 0.0
-    s = np.sign(g)
-    sgnf[:, 1:] = np.cumprod(s, axis=1, out=s)
-    del s  # freed before the cumsum first touches logf's pages
-    with np.errstate(divide="ignore"):
-        np.log(np.abs(g, out=g), out=g)
-    np.cumsum(g, axis=1, out=logf[:, 1:])
+    w = _block_width(rows)
+    gbuf = np.empty((rows, min(w, n)))
+    sbuf = np.empty_like(gbuf)
+    for a in range(0, n, w):
+        b = min(a + w, n)
+        s = sbuf[:, :b - a]
+        g = fill(a, b, gbuf[:, :b - a], s)
+        np.sign(g, out=s)
+        if a:
+            s[:, 0] *= sgnf[:, a]
+        sgnf[:, a + 1:b + 1] = np.cumprod(s, axis=1, out=s)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(g, out=g), out=g)
+        if a:
+            g[:, 0] += logf[:, a]
+        np.cumsum(g, axis=1, out=logf[:, a + 1:b + 1])
     return sgnf, logf
 
 
@@ -162,18 +217,23 @@ def _reduce(sgnf, logf, widths=0):
     """Row-wise (signs, log|sum_k f(k)|): peel each row's max, then a
     fixed-shape pairwise sum (np.sum) over the row's width, an int for
     all rows (logf's own by default) or a list, one per row, the columns
-    past logf's being +0.0.  Overwrites logf.
+    past logf's being +0.0.  Overwrites logf: the subtraction of the
+    max, the exp and the sign product run in place, one column block
+    (``_block_width``) at a time, so they hold no full-length temporary.
 
     f(0) = 1 keeps every max finite, and exp(-inf) * 0 is +0.0 exactly
     where a factor vanished, so no row needs masking.  Rows of one width
     take one np.sum over the block; rows of several widths are summed
     one by one from a zero buffer, each over exactly its own width, so
     each keeps the pairwise-sum tree of a lone row."""
-    M = np.max(logf, axis=1)
-    np.subtract(logf, M[:, None], out=logf)
-    np.exp(logf, out=logf)
-    logf *= sgnf
     rows, n = logf.shape
+    M = np.max(logf, axis=1)
+    w = _block_width(rows)
+    for a in range(0, n, w):
+        f = logf[:, a:a + w]
+        np.subtract(f, M[:, None], out=f)
+        np.exp(f, out=f)
+        f *= sgnf[:, a:a + w]
     if isinstance(widths, list) and min(widths) < max(widths):
         s = np.empty(rows)
         buf = np.zeros(max(max(widths), n))
@@ -212,12 +272,12 @@ def _scalar(sl):
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    return _scalar(_reduce(*_log_prefix(_factors(np.array([N]), np.array([x], dtype=np.float64)))))
+    return _scalar(_reduce(*_float_prefix(np.array([N]), np.array([x], dtype=np.float64))))
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
-    sgnf, logf = _log_prefix(_factors(np.array([N]), np.array([x], dtype=np.float64)))
+    sgnf, logf = _float_prefix(np.array([N]), np.array([x], dtype=np.float64))
     return sgnf[0], logf[0]
 
 
@@ -285,7 +345,7 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     cs = Ns[idx]
     for chunk in _chunks((cs - 1).tolist()):
         i = idx[chunk]
-        sgn[i], log[i] = _reduce(*_log_prefix(_factors(cs[chunk], xs[i])), cs[chunk].tolist())
+        sgn[i], log[i] = _reduce(*_float_prefix(cs[chunk], xs[i]), cs[chunk].tolist())
     out_s = np.empty_like(sgn)
     out_l = np.empty_like(log)
     out_s[order], out_l[order] = sgn, log

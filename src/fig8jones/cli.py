@@ -2,7 +2,8 @@
 values, and emit the experiment CSVs behind every figure.
 
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 numeric or
-precision error.  CSV cells carry 15 significant digits; identical
+precision error, or not enough memory (one line on stderr, no
+traceback).  CSV cells carry 15 significant digits; identical
 flags produce byte-identical files.
 """
 
@@ -388,6 +389,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (PrecisionError, SingularityError, ZeroValueError) as exc:
         print(f"fig8jones: numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("fig8jones: numeric error: not enough memory (a scan of color N "
+              "keeps 9 bytes per factor, about 9*N bytes)", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"fig8jones: domain error: {exc}", file=sys.stderr)

@@ -206,6 +206,22 @@ class TestChecksAndExitCodes:
         assert code == 70
         assert "numeric error" in err
 
+    def test_out_of_memory_is_70_in_one_line(self, monkeypatch):
+        # a color too large to hold its 9 bytes per factor; raised by a
+        # stub, so no test allocates a huge array
+        import fig8jones.cli
+
+        def no_memory(p):
+            raise MemoryError("Unable to allocate 838. GiB")
+
+        monkeypatch.setattr(fig8jones.cli, "colored_jones", no_memory)
+        code, out, err = run_cli("eval", "--N", "100000000000", "--r", "1")
+        assert code == 70
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("fig8jones: numeric error: not enough memory")
+        assert "9 bytes per factor" in err and "Traceback" not in err
+
     def test_precision_error_is_70(self):
         code, _, err = run_cli("mahler", "homology", "--N", "200",
                                "--method", "float")

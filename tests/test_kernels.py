@@ -95,6 +95,64 @@ class TestScanAgreement:
         assert (s, l) == (1, 0.0)
 
 
+class TestColumnBlocks:
+    @staticmethod
+    def unblocked(N, x):
+        # the float route over the whole row at once: full-length phases,
+        # fold, cos, sign cumprod, log cumsum, max, exp, sum
+        xs, cs = np.array([x]), np.array([N])
+        uN = xs * cs
+        uN -= np.floor(uN)
+        gN = 2.0 * np.cos(2.0 * np.pi * np.minimum(uN, 1.0 - uN))
+        u = x * np.arange(1, N, dtype=np.float64)
+        u -= np.floor(u)
+        u = np.minimum(u, 1.0 - u)
+        g = gN - 2.0 * np.cos(2.0 * np.pi * u)
+        sgnf = np.concatenate([[1.0], np.cumprod(np.sign(g))]).astype(np.int8)
+        with np.errstate(divide="ignore"):
+            logf = np.concatenate([[0.0], np.cumsum(np.log(np.abs(g)))])
+            M = np.max(logf)
+            total = np.sum(np.exp(logf - M) * sgnf)
+            return sgnf, logf, (int(np.sign(total)), M + np.log(np.abs(total)))
+
+    def test_blocked_core_matches_unblocked_formula(self):
+        # rows on both sides of one block (C + 1 factors), two, and many;
+        # the carried log and sign make the blocked prefixes and sums
+        # equal, bit for bit, to the whole-row recurrences
+        C = _kernels._CHUNK_FACTORS
+        for N in (C - 1, C, C + 1, C + 2, C + 3, 3 * C + 5, 10**6):
+            for x in (1.05 / N, 0.3, 1 / 3, 0.5):
+                sgnf, logf, (s, l) = self.unblocked(N, x)
+                ks, kl = _kernels.jones_scan(N, x)
+                assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, x)
+                ps, pl = _kernels.jones_prefix(N, x)
+                assert ps.dtype == np.int8 and pl.dtype == np.float64
+                assert ps.tobytes() == sgnf.tobytes(), (N, x)
+                assert pl.tobytes() == logf.tobytes(), (N, x)
+                if x == 0.5:
+                    # dead at j <= 2 in the first block, and in every
+                    # later block too: J = 1 (odd N) or 1 + 4 (even N)
+                    assert (ps[C:] == 0).all() and (pl[C:] == -np.inf).all()
+                    assert ks == 1
+                    assert abs(kl - (0.0 if N % 2 else math.log(5.0))) < 1e-15
+
+    def test_long_scan_memory_is_its_prefix_arrays(self):
+        # a long row keeps its log (float64) and sign (int8) prefixes,
+        # 9 bytes per factor, and a few chunk-sized buffers; factor,
+        # phase or sign arrays of the row's full length would exceed this
+        import tracemalloc
+
+        N = 10**6
+        for f in (_kernels.jones_scan, _kernels.jones_prefix):
+            tracemalloc.start()
+            try:
+                f(N, 1.05e-6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS, f.__name__
+
+
 class TestGrids:
     @staticmethod
     def assert_grid_is_scan(Ns, xs, every=1):
@@ -126,7 +184,8 @@ class TestGrids:
             cs = np.arange(1, 2 * N, 2, dtype=np.int64)
             xs = np.full(len(cs), r / N)
             self.assert_grid_is_scan(cs, xs)
-            g = _kernels._factors(cs, xs)
+            fill = _kernels._factors(cs, xs)
+            g = fill(0, cs[-1] - 1, *np.empty((2, len(cs), cs[-1] - 1)))
             assert (g[np.arange(len(cs) - 1), cs[:-1] - 1] == 0.0).all()
 
     def test_grid_color_spanning_chunks(self):
@@ -210,7 +269,11 @@ class TestGrids:
             g = (2.0 * np.cos(2.0 * np.pi * qc / N)
                  - 2.0 * np.cos(2.0 * np.pi * q / N))
             g[q == qc] = 0.0
-            s, l = _kernels._reduce(*_kernels._log_prefix(g[None, :]))
+            def fill(a, b, out, tmp):
+                out[:] = g[a:b]
+                return out
+
+            s, l = _kernels._reduce(*_kernels._log_prefix(fill, 1, c - 1))
             return int(s[0]), l[0], bool((q == qc).any())
 
         def dead_rows(cs, r, N):
