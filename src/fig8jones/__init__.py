@@ -28,11 +28,10 @@ from .limits import (
 )
 from .mahler import (
     FIG8_ALEXANDER,
-    JonesSampler,
     LaurentPolynomialZ,
-    LaurentSampler,
     homology_order,
     jones_mahler_growth,
+    jones_on_circle,
     log_mahler_quadrature,
     mahler_from_roots,
     silver_williams_convergence,
@@ -50,8 +49,8 @@ __all__ = [
     "ConvergenceRecord", "LimitBranch", "PiecewiseLimitSpec",
     "V_SPEC", "W_SPEC", "convergence_table", "limit_theorem3",
     "limit_V", "limit_W", "mahler_growth_integral",
-    "FIG8_ALEXANDER", "JonesSampler", "LaurentPolynomialZ",
-    "LaurentSampler", "homology_order", "jones_mahler_growth",
+    "FIG8_ALEXANDER", "LaurentPolynomialZ", "homology_order",
+    "jones_mahler_growth", "jones_on_circle",
     "log_mahler_quadrature", "mahler_from_roots",
     "silver_williams_convergence",
     "ColorProfile", "ProfileRow", "argmax_color", "cable_profile",

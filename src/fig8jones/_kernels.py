@@ -298,7 +298,6 @@ def _grid_tables(N, e, ky):
     us = np.empty(len(ks), dtype=np.int8)
     ul = np.empty(len(ks), dtype=np.float64)
     taken = np.zeros(len(ks), dtype=bool)
-    rows = max(1, _CHUNK_FACTORS // max(N - 1, 1))
     for g, Q in enumerate(Qs.tolist()):
         group = np.flatnonzero(by_Q == g)
         if Q // 2 + 1 > len(group) * N:
@@ -308,8 +307,7 @@ def _grid_tables(N, e, ky):
         k = ks[group] // ((1 << e) // Q)
         gc = tab.take(_fold(k * N, Q))
         live = _live(N, k, Q)
-        for a in range(0, len(k), rows):
-            chunk = slice(a, a + rows)
+        for chunk in _chunks([N - 1] * len(k)):
             j = np.arange(1, int(live[chunk].max()), dtype=np.int64)
             gq = tab.take(_fold(np.multiply.outer(k[chunk], j), Q))
             i = group[chunk]

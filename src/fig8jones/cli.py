@@ -1,6 +1,11 @@
 """Command-line front end: evaluate the special functions and Jones
 values, and emit the experiment CSVs behind every figure.
 
+argparse owns the grammar: an input with several spellings is a
+mutually exclusive group (``mahler quad`` takes exactly one of
+``--poly``/``--const``/``--jones``, ``eval`` one of ``--r``/``--x``),
+and ``--check`` belongs to the six top-level commands.
+
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 numeric or
 precision error, or not enough memory (one line on stderr, no
 traceback).  CSV cells carry 15 significant digits; identical
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -20,12 +26,11 @@ from .jones_fig8 import EvaluationPoint, colored_jones, normalized_log
 from .limits import convergence_table, limit_V, limit_W, mahler_growth_integral
 from .mahler import (
     FIG8_ALEXANDER,
-    ConstSampler,
-    JonesSampler,
     LaurentPolynomialZ,
-    LaurentSampler,
+    const_on_circle,
     homology_order,
     jones_mahler_growth,
+    jones_on_circle,
     log_mahler_quadrature,
     mahler_from_roots,
     silver_williams_convergence,
@@ -119,12 +124,10 @@ def _cmd_eval(args) -> int:
              j3.sign == 1 and abs(j3.logabs - math.log(13)) < 1e-12),
             ("J_1 == 1", j1.sign == 1 and j1.logabs == 0.0),
         ])
-    if args.x is not None:
-        p = EvaluationPoint(args.N, args.x)
-    elif args.r is not None:
+    if args.r is not None:
         p = EvaluationPoint.from_r(args.N, args.r)
     else:
-        p = EvaluationPoint(args.N, 0.0)  # t = 1, where J_N == 1
+        p = EvaluationPoint(args.N, args.x)
     v = colored_jones(p)
     if v.sign == 0:
         raise ZeroValueError(f"J_N vanishes at N={p.N}, x={p.x}")
@@ -141,18 +144,18 @@ def _figure_curve(which, step: float):
     return "r,finite,predicted,delta", rows
 
 
-def _figure_conv(lo: float, hi: float, N: int, step: float):
-    n = int(round((hi - lo) / step))
+def _record_rows(records) -> list[str]:
+    """CSV rows r,finite,predicted,delta of ConvergenceRecords; a flagged
+    record leaves finite and delta empty."""
+    return [f"{_fmt(rec.r)},,{_fmt(rec.predicted)}," if rec.flagged else
+            f"{_fmt(rec.r)},{_fmt(rec.finite_value)},"
+            f"{_fmt(rec.predicted)},{_fmt(rec.delta)}" for rec in records]
+
+
+def _figure_conv(lo: float, N: int, step: float):
+    n = int(round(1.0 / step))
     rs = [lo + k * step for k in range(n + 1)]
-    records = convergence_table(rs, N)
-    rows = []
-    for rec in records:
-        if rec.flagged:
-            rows.append(f"{_fmt(rec.r)},,{_fmt(rec.predicted)},")
-        else:
-            rows.append(f"{_fmt(rec.r)},{_fmt(rec.finite_value)},"
-                        f"{_fmt(rec.predicted)},{_fmt(rec.delta)}")
-    return "r,finite,predicted,delta", rows
+    return "r,finite,predicted,delta", _record_rows(convergence_table(rs, N))
 
 
 def _cmd_figure(args) -> int:
@@ -171,27 +174,22 @@ def _cmd_figure(args) -> int:
     if fid is None:
         print("fig8jones figure: error: a figure id is required unless "
               "--check", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    if fid == "V":
-        header, rows = _figure_curve(limit_V, args.step or 0.001)
-    elif fid == "W":
-        header, rows = _figure_curve(limit_W, args.step or 0.001)
-    elif fid in ("conv1", "conv2", "conv3", "conv4", "conv5"):
-        k = int(fid[-1])
-        header, rows = _figure_conv(k - 1.0, float(k), args.N or 2000,
-                                    args.step or 0.01)
-    elif fid == "conv8000":
-        header, rows = _figure_conv(4.0, 5.0, args.N or 8000,
-                                    args.step or 0.01)
+        return EXIT_USAGE
+    N, step = args.N, args.step
+    if step is not None and not step > 0.0:
+        raise DomainError(f"--step must be positive, got {step}")
+    if fid in ("V", "W"):
+        header, rows = _figure_curve(limit_V if fid == "V" else limit_W,
+                                     0.001 if step is None else step)
     elif fid == "cable":
-        profile = cable_profile(args.N or 800, args.r)
+        profile = cable_profile(800 if N is None else N, args.r)
         header = "c,value"
-        rows = []
-        for row in profile.rows:
-            rows.append(f"{row.c}," if row.flagged
-                        else f"{row.c},{_fmt(row.value)}")
-    else:  # unreachable: argparse restricts choices
-        raise DomainError(f"unknown figure id {fid}")
+        rows = [f"{row.c}," if row.flagged else f"{row.c},{_fmt(row.value)}"
+                for row in profile.rows]
+    else:  # convK: r in [K-1, K] at N = 2000; conv8000: r in [4, 5] at N = 8000
+        lo, default_N = (4.0, 8000) if fid == "conv8000" else (int(fid[-1]) - 1.0, 2000)
+        header, rows = _figure_conv(lo, default_N if N is None else N,
+                                    0.01 if step is None else step)
     _write_rows(args.out or f"{fid}.csv", header, rows)
     return EXIT_OK
 
@@ -209,7 +207,7 @@ def _cmd_mahler(args) -> int:
             ("m(fig8 Alexander) ~ log((3+sqrt5)/2)",
              abs(m_fig8 - math.log((3 + math.sqrt(5)) / 2)) < 1e-12),
             ("quadrature of constant 1 == 0",
-             log_mahler_quadrature(ConstSampler(1.0), 4096) == 0.0),
+             log_mahler_quadrature(partial(const_on_circle, 1.0), 4096) == 0.0),
         ])
     sub = args.mahler_cmd
     if sub == "roots":
@@ -217,32 +215,28 @@ def _cmd_mahler(args) -> int:
         print(_fmt(mahler_from_roots(f, args.tol)))
     elif sub == "quad":
         if args.const is not None:
-            sampler = ConstSampler(args.const)
+            sample = partial(const_on_circle, args.const)
         elif args.jones is not None:
-            sampler = JonesSampler(args.jones)
+            sample = partial(jones_on_circle, args.jones)
         else:
-            sampler = LaurentSampler(LaurentPolynomialZ.parse(args.poly))
-        print(_fmt(log_mahler_quadrature(sampler, args.n)))
+            sample = LaurentPolynomialZ.parse(args.poly).eval_circle_batch
+        print(_fmt(log_mahler_quadrature(sample, args.n)))
     elif sub == "homology":
         f = LaurentPolynomialZ.parse(args.poly)
         print(homology_order(f, args.N, method=args.method))
     elif sub == "sw":
         f = LaurentPolynomialZ.parse(args.poly)
         records = silver_williams_convergence(f, _parse_n_list(args.N_list))
-        rows = []
-        for rec in records:
-            if rec.flagged:
-                rows.append(f"{rec.N},,{_fmt(rec.predicted)},")
-            else:
-                rows.append(f"{rec.N},{_fmt(rec.finite_value)},"
-                            f"{_fmt(rec.predicted)},{_fmt(rec.delta)}")
-        _write_rows(args.out, "N,finite,predicted,delta", rows)
+        _write_rows(args.out, "N,finite,predicted,delta", _record_rows(records))
     elif sub == "jones-growth":
         rows = jones_mahler_growth(_parse_n_list(args.N_list), args.n_quad)
         out_rows = [f"{N},{_fmt(m)},{_fmt(ratio)}" for N, m, ratio in rows]
         _write_rows(args.out, "N,mahler,ratio", out_rows)
-    else:  # unreachable
-        raise DomainError(f"unknown mahler subcommand {sub}")
+    else:
+        print("fig8jones mahler: error: a subcommand is required "
+              "(roots, quad, homology, sw, jones-growth) unless --check",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -280,10 +274,12 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("eval", help="evaluate J_N on the unit circle")
     q.add_argument("--N", type=int, required=False, default=2)
-    q.add_argument("--r", type=float, default=None,
-                   help="growth parameter; position is x = r/N")
-    q.add_argument("--x", type=float, default=None,
-                   help="circle position in [0,1), overrides --r")
+    at = q.add_mutually_exclusive_group()
+    at.add_argument("--r", type=float, default=None,
+                    help="growth parameter; position is x = r/N")
+    at.add_argument("--x", type=float, default=0.0,
+                    help="circle position in [0,1), in place of --r; "
+                         "default 0 (t = 1)")
     q.add_argument("--check", action="store_true")
     q.set_defaults(fn=_cmd_eval)
 
@@ -308,16 +304,13 @@ def build_parser() -> _Parser:
     m = msub.add_parser("roots", help="m(f) from roots; poly syntax c0,c1,...@low")
     m.add_argument("--poly", required=True)
     m.add_argument("--tol", type=float, default=1e-9)
-    m.add_argument("--check", action="store_true")
-    m.set_defaults(fn=_cmd_mahler, mahler_cmd="roots")
 
     m = msub.add_parser("quad", help="m via circle quadrature")
-    m.add_argument("--poly", default=None)
-    m.add_argument("--const", type=float, default=None)
-    m.add_argument("--jones", type=int, default=None, metavar="N")
+    src = m.add_mutually_exclusive_group(required=True)
+    src.add_argument("--poly", default=None)
+    src.add_argument("--const", type=float, default=None)
+    src.add_argument("--jones", type=int, default=None, metavar="N")
     m.add_argument("--n", type=int, default=1 << 16)
-    m.add_argument("--check", action="store_true")
-    m.set_defaults(fn=_cmd_mahler, mahler_cmd="quad")
 
     m = msub.add_parser("homology", help="|H_1| of the branched cyclic cover")
     m.add_argument("--N", type=int, required=True)
@@ -326,22 +319,16 @@ def build_parser() -> _Parser:
                    help="exact = integer arithmetic; float = complex "
                         "product, refused (exit 70) once its forward error "
                         "bound reaches 0.25")
-    m.add_argument("--check", action="store_true")
-    m.set_defaults(fn=_cmd_mahler, mahler_cmd="homology")
 
     m = msub.add_parser("sw", help="Silver-Williams convergence records")
     m.add_argument("--poly", default=str(FIG8_ALEXANDER))
     m.add_argument("--N-list", dest="N_list", default="2,5,10,20,50,100")
     m.add_argument("--out", default="-")
-    m.add_argument("--check", action="store_true")
-    m.set_defaults(fn=_cmd_mahler, mahler_cmd="sw")
 
     m = msub.add_parser("jones-growth", help="m(J_N) growth ratios")
     m.add_argument("--N-list", dest="N_list", default="100,300,1000")
     m.add_argument("--n-quad", dest="n_quad", type=int, default=1 << 14)
     m.add_argument("--out", default="-")
-    m.add_argument("--check", action="store_true")
-    m.set_defaults(fn=_cmd_mahler, mahler_cmd="jones-growth")
 
     q = sub.add_parser("cable", help="argmax color of the cable profile")
     q.add_argument("--N", type=int, default=800)
@@ -375,18 +362,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_dash_values(list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    if getattr(args, "command", None) == "mahler" and \
-            getattr(args, "mahler_cmd", None) is None and not args.check:
-        print("fig8jones mahler: error: a subcommand is required "
-              "(roots, quad, homology, sw, jones-growth) unless --check",
-              file=sys.stderr)
-        return EXIT_USAGE
-
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"fig8jones: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (PrecisionError, SingularityError, ZeroValueError) as exc:
         print(f"fig8jones: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -9,6 +9,11 @@ polynomial over N-th roots of unity.  The product is an integer: the
 default path computes it exactly as one integer determinant built from
 the companion matrix of f, and a floating path returns it only when a
 forward error bound certifies the rounding.
+
+The quadrature takes any sampler ``sample(xs) -> (signs, log|f|)``: a
+polynomial's ``eval_circle_batch``, or ``jones_on_circle`` /
+``const_on_circle`` with their first argument bound by
+``functools.partial``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +32,8 @@ from .limits import ConvergenceRecord
 __all__ = [
     "LaurentPolynomialZ",
     "FIG8_ALEXANDER",
-    "LaurentSampler",
-    "ConstSampler",
-    "JonesSampler",
+    "const_on_circle",
+    "jones_on_circle",
     "NearUnitRootWarning",
     "mahler_from_roots",
     "log_mahler_quadrature",
@@ -92,42 +97,23 @@ FIG8_ALEXANDER = LaurentPolynomialZ(-1, (-1, 3, -1))
 # circle samplers
 # ---------------------------------------------------------------------------
 
-class LaurentSampler:
-    """Sampler of log|f(exp(2 pi i x))| for an integer Laurent polynomial."""
-
-    def __init__(self, f: LaurentPolynomialZ):
-        self.f = f
-
-    def batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.f.eval_circle_batch(xs)
-
-
-class ConstSampler:
-    """Sampler of a constant function (useful for calibration checks)."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(xs)
-        if self.value == 0.0:
-            return np.zeros(n, dtype=np.int8), np.full(n, -np.inf)
-        s = 1 if self.value > 0 else -1
-        return (np.full(n, s, dtype=np.int8),
-                np.full(n, math.log(abs(self.value))))
+def const_on_circle(value: float, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, log|value|) at every x: a constant sampler, useful for
+    calibration checks."""
+    n, value = len(xs), float(value)
+    if value == 0.0:
+        return np.zeros(n, dtype=np.int8), np.full(n, -np.inf)
+    s = 1 if value > 0 else -1
+    return np.full(n, s, dtype=np.int8), np.full(n, math.log(abs(value)))
 
 
-class JonesSampler:
-    """Sampler of log|J_N(E; exp(2 pi i x))| via the Habiro-Le kernels."""
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
-        self.N = N
-
-    def batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.asarray(xs, dtype=float) % 1.0
-        return _kernels.jones_grid(np.full(len(xs), self.N, dtype=np.int64), xs)
+def jones_on_circle(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, log|J_N(E; exp(2 pi i x))|) over xs via the Habiro-Le
+    kernels."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    xs = np.asarray(xs, dtype=float) % 1.0
+    return _kernels.jones_grid(np.full(len(xs), N, dtype=np.int64), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +154,12 @@ def mahler_from_roots(f: LaurentPolynomialZ, tol: float = 1e-9) -> float:
     return m
 
 
-def log_mahler_quadrature(sampler, n: int) -> float:
-    """Midpoint quadrature of log|sampler| over one turn with n uniform
+def log_mahler_quadrature(sample, n: int) -> float:
+    """Midpoint quadrature of log|f| over one turn with n uniform
     samples.
 
-    sampler.batch(xs) returns (signs, log|f|) at t = exp(2 pi i xs),
-    with sign 0 marking an exact zero.  Samples that are exactly zero
+    sample(xs) returns (signs, log|f|) at t = exp(2 pi i xs), with sign
+    0 marking an exact zero.  Samples that are exactly zero
     (integrable log singularities) are replaced by one level of dyadic
     refinement: the offending panel is split into 8 sub-midpoints and
     the surviving values averaged.  The sub-midpoints of all such
@@ -183,7 +169,7 @@ def log_mahler_quadrature(sampler, n: int) -> float:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     xs = (np.arange(n) + 0.5) / n
-    signs, logs = sampler.batch(xs)
+    signs, logs = sample(xs)
     zero_idx = np.nonzero(signs == 0)[0]
     if len(zero_idx) > n / 10:
         raise SingularityError(
@@ -193,7 +179,7 @@ def log_mahler_quadrature(sampler, n: int) -> float:
     vals = logs.astype(float)
     if len(zero_idx):
         sub = (zero_idx[:, None] + (np.arange(8) + 0.5) / 8.0) / n
-        ss, sl = sampler.batch(sub.ravel())
+        ss, sl = sample(sub.ravel())
         for i, s8, l8 in zip(zero_idx, ss.reshape(-1, 8), sl.reshape(-1, 8)):
             live = s8 != 0
             vals[i] = np.mean(l8[live]) if np.any(live) else 0.0
@@ -351,7 +337,7 @@ def jones_mahler_growth(N_list, n_quad: int) -> list[tuple[int, float, float]]:
     rows = []
     for N in N_list:
         N = int(N)
-        m = log_mahler_quadrature(JonesSampler(N), n_quad)
+        m = log_mahler_quadrature(partial(jones_on_circle, N), n_quad)
         ratio = 2.0 * math.pi * m / math.log(N) if N > 1 else math.nan
         rows.append((N, m, ratio))
     return rows

@@ -17,11 +17,7 @@ import pytest
 import fig8jones as fj
 from fig8jones.jones_fig8 import EvaluationPoint, colored_jones, normalized_log
 from fig8jones.limits import convergence_table
-from fig8jones.mahler import (
-    LaurentSampler,
-    NearUnitRootWarning,
-    log_mahler_quadrature,
-)
+from fig8jones.mahler import NearUnitRootWarning, log_mahler_quadrature
 from conftest import brute_force_jones
 from test_jones_fig8 import sandwich_holds, sign_structure_report
 
@@ -210,7 +206,7 @@ def test_criterion_10_mahler_path_agreement():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearUnitRootWarning)
         m_r = fj.mahler_from_roots(fj.FIG8_ALEXANDER)
-        m_q = log_mahler_quadrature(LaurentSampler(fj.FIG8_ALEXANDER), 1 << 16)
+        m_q = log_mahler_quadrature(fj.FIG8_ALEXANDER.eval_circle_batch, 1 << 16)
         gaps.append(abs(m_r - m_q))
         for _ in range(20):
             span = int(rng.integers(1, 9))
@@ -220,7 +216,7 @@ def test_criterion_10_mahler_path_agreement():
             f = fj.LaurentPolynomialZ(int(rng.integers(-4, 5)),
                                       tuple(int(c) for c in coeffs))
             gaps.append(abs(fj.mahler_from_roots(f)
-                            - log_mahler_quadrature(LaurentSampler(f), 1 << 16)))
+                            - log_mahler_quadrature(f.eval_circle_batch, 1 << 16)))
         cyc = [fj.LaurentPolynomialZ(0, (1, 1)),
                fj.LaurentPolynomialZ(0, (1, 1, 1)),
                fj.LaurentPolynomialZ(0, (1, 0, 1)),

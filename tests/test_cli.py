@@ -152,6 +152,10 @@ class TestMahlerCommands:
         assert code == 0
         assert abs(float(out) - 0.9624236501192069) < 1e-10
 
+    def test_homology_float(self):
+        code, out, _ = run_cli("mahler", "homology", "--N", "4", "--method", "float")
+        assert code == 0 and out.strip() == "45"
+
     def test_quad_const(self):
         code, out, _ = run_cli("mahler", "quad", "--const", "1")
         assert code == 0 and float(out) == 0.0
@@ -191,6 +195,31 @@ class TestChecksAndExitCodes:
     def test_missing_subcommand_is_64(self):
         code, _, _ = run_cli("mahler")
         assert code == 64
+
+    @pytest.mark.parametrize("cmd", [
+        ("mahler", "quad"),
+        ("mahler", "quad", "--const", "1", "--jones", "5"),
+        ("eval", "--N", "5", "--r", "1", "--x", "0.2"),
+        ("mahler", "roots", "--poly=-1,3,-1@-1", "--check"),
+    ])
+    def test_grammar_error_is_64_with_usage(self, cmd):
+        code, out, err = run_cli(*cmd)
+        assert code == 64 and out == ""
+        assert err.startswith("usage: fig8jones ")
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", [
+        ("figure", "conv1", "--N", "0"),
+        ("figure", "cable", "--N", "0"),
+        ("figure", "V", "--step", "0"),
+        ("figure", "V", "--step", "-0.5"),
+    ])
+    def test_figure_bad_size_is_2_and_writes_nothing(self, tmp_path, cmd):
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(*cmd, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("fig8jones: domain error:")
+        assert not path.exists()
 
     def test_domain_error_is_2(self):
         code, _, err = run_cli("lobachevsky", "--theta", "nan")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ import pytest
 from fig8jones.errors import PrecisionError, SingularityError
 from fig8jones.mahler import (
     FIG8_ALEXANDER,
-    ConstSampler,
-    JonesSampler,
     LaurentPolynomialZ,
-    LaurentSampler,
     NearUnitRootWarning,
+    const_on_circle,
     homology_order,
     jones_mahler_growth,
+    jones_on_circle,
     log_mahler_quadrature,
     mahler_from_roots,
     silver_williams_convergence,
@@ -116,10 +116,10 @@ class TestMahlerFromRoots:
 
 class TestQuadrature:
     def test_constant_one_is_exact_zero(self):
-        assert log_mahler_quadrature(ConstSampler(1.0), 4096) == 0.0
+        assert log_mahler_quadrature(partial(const_on_circle, 1.0), 4096) == 0.0
 
     def test_cross_path_figure_eight(self):
-        m_q = log_mahler_quadrature(LaurentSampler(FIG8_ALEXANDER), 1 << 16)
+        m_q = log_mahler_quadrature(FIG8_ALEXANDER.eval_circle_batch, 1 << 16)
         assert abs(m_q - math.log(GOLDEN_SQ)) < 1e-3
 
     def test_cross_path_random_polys(self):
@@ -129,24 +129,26 @@ class TestQuadrature:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NearUnitRootWarning)
                 m_r = mahler_from_roots(f)
-            m_q = log_mahler_quadrature(LaurentSampler(f), 1 << 16)
+            m_q = log_mahler_quadrature(f.eval_circle_batch, 1 << 16)
             assert abs(m_q - m_r) < 1e-3
 
     def test_jones_sampler_self_convergence(self):
-        a = log_mahler_quadrature(JonesSampler(5), 1 << 12)
-        b = log_mahler_quadrature(JonesSampler(5), 1 << 13)
+        a = log_mahler_quadrature(partial(jones_on_circle, 5), 1 << 12)
+        b = log_mahler_quadrature(partial(jones_on_circle, 5), 1 << 13)
         assert math.isfinite(a)
         assert abs(a - b) < 1e-2
+
+    def test_jones_on_circle_rejects_color_zero(self):
+        with pytest.raises(ValueError):
+            jones_on_circle(0, np.array([0.25]))
 
     def test_zero_sample_refinement(self):
         # t - 1 vanishes at x = 0; midpoint grids dodge it, so force a
         # hitting grid via an even n and a shifted sampler
-        class ShiftedRootSampler:
-            def batch(self, xs):
-                s, l = LaurentPolynomialZ(0, (-1, 1)).eval_circle_batch(xs - 0.5 / 4096)
-                return s, l
+        def shifted_root(xs):
+            return LaurentPolynomialZ(0, (-1, 1)).eval_circle_batch(xs - 0.5 / 4096)
 
-        m = log_mahler_quadrature(ShiftedRootSampler(), 4096)
+        m = log_mahler_quadrature(shifted_root, 4096)
         assert abs(m) < 1e-2  # m(t-1) = 0, one refined panel
 
         # three zero panels: their 24 sub-midpoints take one second batch
@@ -161,36 +163,34 @@ class TestQuadrature:
             (2050 + sub) / n,
         ))
 
-        class ThreeZeroSampler:
-            calls = 0
+        calls = []
 
-            def batch(self, xs):
-                self.calls += 1
-                s, l = FIG8_ALEXANDER.eval_circle_batch(xs)
-                s[np.isin(xs, zeros)] = 0
-                return s, l
+        def three_zero(xs):
+            calls.append(len(xs))
+            s, l = FIG8_ALEXANDER.eval_circle_batch(xs)
+            s[np.isin(xs, zeros)] = 0
+            return s, l
 
-        def per_panel(sampler):
-            s, l = sampler.batch((np.arange(n) + 0.5) / n)
+        def per_panel(sample):
+            s, l = sample((np.arange(n) + 0.5) / n)
             vals = l.astype(float)
             for i in np.nonzero(s == 0)[0]:
-                ss, sl = sampler.batch((i + sub) / n)
+                ss, sl = sample((i + sub) / n)
                 live = ss != 0
                 vals[i] = np.mean(sl[live]) if np.any(live) else 0.0
             return float(np.mean(vals))
 
-        sampler = ThreeZeroSampler()
-        m = log_mahler_quadrature(sampler, n)
-        assert sampler.calls == 2
-        assert m == per_panel(ThreeZeroSampler())
+        m = log_mahler_quadrature(three_zero, n)
+        assert len(calls) == 2
+        assert m == per_panel(three_zero)
 
     def test_identically_zero_raises(self):
         with pytest.raises(SingularityError):
-            log_mahler_quadrature(ConstSampler(0.0), 256)
+            log_mahler_quadrature(partial(const_on_circle, 0.0), 256)
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            log_mahler_quadrature(ConstSampler(1.0), 1)
+            log_mahler_quadrature(partial(const_on_circle, 1.0), 1)
 
 
 class TestHomologyOrder:
