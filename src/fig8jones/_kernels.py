@@ -14,75 +14,70 @@ cosine accuracy.  They reach the cosines by one of two routes:
   factor.  The scans, ``jones_prefix`` and the non-dyadic points of
   ``jones_grid`` take this route; it is the reference the grid tests
   compare against.
-* Integer phases: x = k/Q with integer k, folded numerators
-  q_j = min(k j mod Q, Q - k j mod Q), and factors
+* Rational phases (``_rational``): x = k/Q with integer folded
+  numerators q_j = min(k j mod Q, Q - k j mod Q) and factors
   2 cos(2 pi q_c/Q) - 2 cos(2 pi q_j/Q).  ``jones_grid_exact`` uses
   Q = N for x = r/N, so factors that vanish mathematically are exactly
   zero (a float phase misses them by an ulp and rebuilds noise past the
-  dead factor); it needs one cosine per j and one per color, and
-  evaluates them directly.  A ``jones_grid`` point with dyadic x in
-  [0, 1), x = k/2^e with e + bit_length(c) <= 53, uses Q = 2^e: every
-  x*j, j <= c, is then exact, and since dividing by a power of two is
-  exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so this route
-  reproduces the float route's factors bit for bit.  The dyadic points
-  of a color are grouped by their reduced denominator Q, and each group
-  takes its factors from one table tab[q] = 2 cos(2 pi q/Q), q <= Q/2,
-  built only when its Q/2 + 1 cosines are no more than the factors they
-  serve; otherwise that group takes the float route, with the same bits.
+  dead factor).  A ``jones_grid`` point with dyadic x in [0, 1), x*2^e
+  an integer with e + bit_length(c) <= 53, uses its own power-of-two
+  denominator Q: every x*j, j <= c, is then exact, and since dividing
+  by a power of two is exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)),
+  so this route reproduces the float route's factors bit for bit.
+  There is one cosine rule: a table tab[q] = 2 cos(2 pi q/Q),
+  q <= Q/2, when its Q/2 + 1 entries are no more than the cosines the
+  rows would take directly, else the cosines themselves (``_twocos``),
+  the same expression on the same q, so the same bits either way.
 
-The x <-> 1-x fold: for such a dyadic x, 1 - x and every (1 - x) j are
-exact too, so x and 1 - x have bit-identical folded phases and values.
-``jones_grid`` maps each dyadic x to min(x, 1 - x), evaluates each
-distinct value of a color once and scatters the results back, which
-halves the work of a symmetric grid such as the quadrature midpoints.
+The x <-> 1-x fold: for a dyadic x, 1 - x and every (1 - x) j are exact
+too, so x and 1 - x have bit-identical folded phases and values.
+``jones_grid`` evaluates each distinct (color, min(x, 1 - x)) once, in
+one ``_rational`` call per distinct Q that covers every color, and
+scatters the results back, which halves a symmetric grid such as the
+quadrature midpoints.
 
-Early exit: on integer phases g(j) = 0 exactly when q_j == q_c, and the
+Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
 first such j, at most c, follows from integer arithmetic (``_live``).
 Past it every prefix product is 0, its log -inf, and its term
-exp(-inf) * 0 = +0.0.  So the integer core forms factors, logs and exps
-only up to the longest live prefix in a chunk, and each row is summed
-over its color's full c terms, the ones past the formed columns +0.0:
-the row holds the same values at the same length, so the pairwise-sum
-tree, and with it the result, is bit-identical to evaluating the whole
-row.
+exp(-inf) * 0 = +0.0.  So only the live prefix of a row is formed, and
+the row is summed over its color's full c terms, the ones past the
+formed columns +0.0: the same values at the same length, so the same
+pairwise-sum tree and the same bits as the whole row.
 
-Layout: the core works on 2-D arrays of shape (rows, j), one row per
-evaluation point, in chunks of at most ``_CHUNK_FACTORS`` factors (at
-least one row), so the per-point cost is a share of a few whole-array
-numpy calls rather than a Python iteration, and the working set of a
-chunk stays in cache.  A chunk may hold rows of several colors: sorted
-by color (the float route of ``jones_grid``) or by live length
-(``jones_grid_exact``), each chunk is as wide as its longest row.  A
-shorter row runs past its own first vanishing factor, an exact 0.0 (on
-the float route g(c), two cosines of the same float x*c), so its extra
-columns are dead, and its cumsum/cumprod prefix and its max are those
-of the lone row.  Each row is then summed over its own width c
-(``_reduce``): one np.sum over the block when all widths agree, else a
-sum per row over exactly c terms.  The dyadic table route of
-``jones_grid`` runs per color.  The scans and ``jones_prefix`` are the
-one-row case.  Every row sees the same sequence of floating-point
-operations as a lone scan: cumsum/cumprod along a row are sequential
-recurrences and a sum over a contiguous row of c terms is the same
-pairwise sum, so the grids match the scans bit for bit.
+Layout: both grid routes run through one chunk driver (``_rows``) on
+2-D arrays of shape (rows, j), one row per point, sorted by length and
+cut into chunks of at most ``_CHUNK_FACTORS`` factors (at least one
+row), so the per-point cost is a share of a few whole-array numpy calls
+and a chunk's working set stays in cache.  Its buffers are allocated
+once per call: chunk-sized buffers freed and allocated again chunk by
+chunk sit at the allocator's mmap threshold and fault their pages in
+again.  A chunk is as wide as its longest row.  A shorter row runs
+past its own first vanishing factor, an exact 0.0 (on the float route
+g(c), two cosines of the same float x*c), so its extra columns are
+dead and its prefix and max are those of the lone row.  ``_reduce``
+sums each row over its own width c: one np.sum over the block when
+every width is the block's, else one sum per row.  The scans and
+``jones_prefix`` are the one-row case.  cumsum/cumprod along a row are
+sequential recurrences and a sum over a contiguous row of c terms is
+the same pairwise sum, so the grids match the scans bit for bit.
 
 Within a chunk the core runs in column blocks of at most
-``_CHUNK_FACTORS // rows + 1`` columns (``_block_width``), so every chunk of the
-grids is one block and only a lone row longer than ``_CHUNK_FACTORS``
-(a long scan, ``jones_prefix``, a long color) takes several.  Each
-block's factors are built in two reused chunk-sized buffers, and its
-first log and sign take the row's carried prefix, logf[a] and sgnf[a],
-before the cumsum and cumprod: the same sequential recurrences, so the
-prefixes are bit for bit those of the whole row.  ``_reduce`` takes the
-row max in one np.max (the max of the block maxima, exact) and
-subtracts it, exps and multiplies by the sign block by block in place;
-one np.sum over the row keeps the pairwise-sum tree.  Only the prefix
-arrays stay full length, 9 bytes per factor (float64 logs, int8
-signs): every exp needs the row's global max, so logf cannot be
-released block by block without rescaling, which would move last
-digits.
+``_CHUNK_FACTORS // rows + 1`` columns (``_block_width``), so every
+chunk of the grids is one block and only a lone row longer than
+``_CHUNK_FACTORS`` (a long scan, ``jones_prefix``, a long color) takes
+several.  Each block's first log and sign take the row's carried
+prefix, logf[a] and sgnf[a], before the cumsum and cumprod: the same
+recurrences, so the prefixes are bit for bit those of the whole row.
+``_reduce`` takes the row max in one np.max and subtracts it, exps and
+multiplies by the sign block by block in place.  Only the prefix arrays
+stay full length, 9 bytes per factor (float64 logs, int8 signs): every
+exp needs the row's global max, so logf cannot be released block by
+block without rescaling, which would move last digits.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -136,15 +131,16 @@ def _twocos(q, Q):
     return 2.0 * np.cos(2.0 * np.pi * q / Q)
 
 
-def _fold(q, Q):
-    """Integer phases min(q mod Q, Q - q mod Q), in place.  For the
-    power-of-two Q of dyadic points a mask replaces the division, which
-    costs about eight times as much per element."""
+def _fold(q, Q, tmp=None):
+    """Integer phases min(q mod Q, Q - q mod Q), in place, tmp an
+    optional scratch of q's shape.  For the power-of-two Q of dyadic
+    points a mask replaces the division, which costs about eight times
+    as much per element."""
     if Q & (Q - 1):
         q %= Q
     else:
         q &= Q - 1
-    return np.minimum(q, Q - q, out=q)
+    return np.minimum(q, np.subtract(Q, q, out=tmp), out=q)
 
 
 def _live(c, k, Q):
@@ -156,18 +152,31 @@ def _live(c, k, Q):
     return np.minimum((c - 1) % d, (-c - 1) % d) + 1
 
 
-def _live_reduce(gc, gq, live, widths):
-    """Row-wise (signs, log|J|) of the integer-phase rows with factors
-    g(j) = gc - gq[:, j-1], each row summed over its width (an int for
-    all rows or a list, one per row).  Factors are formed only up to the
-    chunk's longest live prefix; a shorter row holds its first dead
-    factor, an exact 0.0, so every term past a row's live prefix is dead
-    (+0.0)."""
+def _rational(c, k, Q):
+    """Row-wise (signs, log|J|) of the colors of array c at x = k/Q on
+    rational phases, k an int or an array of c's shape.  Factors are
+    formed only up to each row's live prefix, and rows sum over their
+    color's width (see the module docstring)."""
+    live = _live(c, k, Q)
+    # a table when it costs no more cosines than the rows would take
+    # directly, one per live factor and one per row for g(c)
+    if Q // 2 + 1 <= int(live.sum()):
+        tab = _twocos(np.arange(Q // 2 + 1), Q)
+        cos = lambda q, out=None: tab.take(q, out=out, mode="clip")
+    else:
+        cos = lambda q, out=None: _twocos(q, Q)
+    gc = cos(_fold(c * k, Q))
+    if np.ndim(k) == 0:
+        # one row of cosines 2cos(2 pi q_j/Q) serves every color
+        row = cos(_fold(k * np.arange(1, int(live.max(initial=1)), dtype=np.int64), Q))
 
-    def fill(a, b, out, tmp):
-        return np.subtract(gc[:, None], gq[:, a:b], out=out)
+    def fill(i, a, b, out, tmp):
+        if np.ndim(k) == 0:
+            return np.subtract(gc[i, None], row[a:b], out=out)
+        q = np.multiply.outer(k[i], np.arange(a + 1, b + 1, dtype=np.int64), out=tmp.view(np.int64))
+        return np.subtract(gc[i, None], cos(_fold(q, Q, out.view(np.int64)), out), out=out)
 
-    return _reduce(*_log_prefix(fill, len(gc), int(live.max()) - 1), widths)
+    return _rows(live - 1, c, fill)
 
 
 def _block_width(rows):
@@ -179,7 +188,20 @@ def _block_width(rows):
     return _CHUNK_FACTORS // rows + 1
 
 
-def _log_prefix(fill, rows, n):
+def _buffers(shapes):
+    """Flat buffers that ``_log_prefix`` shapes for each (rows, n) of
+    shapes: prefix signs and logs and two block buffers, all views of
+    one allocation.  As separate arrays, freed together after each call,
+    glibc's malloc handed them back to the system and the next call
+    faulted them in again: some 60 minor faults per ``jones_grid_exact``
+    call at N = 3000, against none."""
+    p = max((rows * (n + 1) for rows, n in shapes), default=0)
+    g = max((rows * min(_block_width(rows), n) for rows, n in shapes), default=0)
+    logs, gb, tb, signs = np.split(np.empty(p + 2 * g + (p + 7) // 8), np.cumsum([p, g, g]))
+    return signs.view(np.int8)[:p], logs, gb, tb
+
+
+def _log_prefix(fill, rows, n, bufs=None):
     """Row-wise (signs, log|f(k)|), k = 0..n, of the partial products
     f(k) = g(1)...g(k), f(0) = 1, of the n factors a row that
     fill(a, b, out, tmp) writes, j = a+1..b, into out.  Factors are
@@ -189,14 +211,15 @@ def _log_prefix(fill, rows, n):
     recurrences as over the whole row, and only the results stay full
     length, 9 bytes per factor.  A vanished factor's log|0| = -inf
     carries through the cumsum, so dead prefixes read -inf exactly where
-    their sign is 0."""
-    sgnf = np.empty((rows, n + 1), dtype=np.int8)
-    logf = np.empty((rows, n + 1))
+    their sign is 0.  The arrays are views of bufs (``_buffers``), made
+    for this call if not given."""
+    sb, lb, gb, tb = bufs or _buffers([(rows, n)])
+    w = _block_width(rows)
+    m = min(w, n)
+    sgnf, logf = sb[:rows * (n + 1)].reshape(rows, -1), lb[:rows * (n + 1)].reshape(rows, -1)
+    gbuf, sbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
     sgnf[:, 0] = 1
     logf[:, 0] = 0.0
-    w = _block_width(rows)
-    gbuf = np.empty((rows, min(w, n)))
-    sbuf = np.empty_like(gbuf)
     for a in range(0, n, w):
         b = min(a + w, n)
         s = sbuf[:, :b - a]
@@ -213,19 +236,18 @@ def _log_prefix(fill, rows, n):
     return sgnf, logf
 
 
-def _reduce(sgnf, logf, widths=0):
+def _reduce(sgnf, logf, widths=None, zeros=None):
     """Row-wise (signs, log|sum_k f(k)|): peel each row's max, then a
-    fixed-shape pairwise sum (np.sum) over the row's width, an int for
-    all rows (logf's own by default) or a list, one per row, the columns
-    past logf's being +0.0.  Overwrites logf: the subtraction of the
-    max, the exp and the sign product run in place, one column block
-    (``_block_width``) at a time, so they hold no full-length temporary.
-
-    f(0) = 1 keeps every max finite, and exp(-inf) * 0 is +0.0 exactly
-    where a factor vanished, so no row needs masking.  Rows of one width
-    take one np.sum over the block; rows of several widths are summed
-    one by one from a zero buffer, each over exactly its own width, so
-    each keeps the pairwise-sum tree of a lone row."""
+    pairwise sum (np.sum) over the row's width, widths[i] (logf's own by
+    default), the columns past logf's being +0.0.  Overwrites logf: the
+    subtraction of the max, the exp and the sign product run in place,
+    one column block (``_block_width``) at a time.  f(0) = 1 keeps every
+    max finite, and exp(-inf) * 0 is +0.0 exactly where a factor
+    vanished, so no row needs masking.  Rows whose width is logf's take
+    one np.sum over the block; otherwise each row is copied into the
+    head of ``zeros``, a buffer as long as the longest width and zero
+    past logf's, and summed over exactly its width, so each keeps the
+    pairwise-sum tree of a lone row."""
     rows, n = logf.shape
     M = np.max(logf, axis=1)
     w = _block_width(rows)
@@ -234,19 +256,13 @@ def _reduce(sgnf, logf, widths=0):
         np.subtract(f, M[:, None], out=f)
         np.exp(f, out=f)
         f *= sgnf[:, a:a + w]
-    if isinstance(widths, list) and min(widths) < max(widths):
-        s = np.empty(rows)
-        buf = np.zeros(max(max(widths), n))
-        for i, w in enumerate(widths):
-            buf[:n] = logf[i]
-            s[i] = np.add.reduce(buf[:w])
-    else:
-        width = widths[0] if isinstance(widths, list) else widths
-        if width > n:
-            terms = np.zeros((rows, width))
-            terms[:, :n] = logf
-            logf = terms
+    if widths is None or (widths == n).all():
         s = np.sum(logf, axis=1)
+    else:
+        s = np.empty(rows)
+        for i, w in enumerate(widths.tolist()):
+            zeros[:n] = logf[i]
+            s[i] = np.add.reduce(zeros[:w])
     with np.errstate(divide="ignore"):
         return np.sign(s).astype(np.int8), M + np.log(np.abs(s))
 
@@ -265,14 +281,29 @@ def _chunks(lengths):
         a = b
 
 
-def _scalar(sl):
-    s, l = sl
-    return int(s[0]), l[0]
+def _rows(lengths, widths, fill):
+    """Row-wise (signs, log|J|) of rows of lengths[i] factors, row i
+    summed over widths[i] terms, where fill(i, a, b, out, tmp) is the
+    ``_log_prefix`` fill of the rows of index array i.  Sorted by length,
+    the rows share ``_chunks``, whose buffers are allocated once."""
+    order = np.argsort(lengths, kind="stable")
+    chunks = [order[sl] for sl in _chunks(lengths[order].tolist())]
+    shapes = [(len(i), int(lengths[i[-1]])) for i in chunks]
+    bufs = _buffers(shapes)
+    # the chunks come in ascending length, so no row is ever copied past
+    # the current chunk's prefix, and its untouched pages stay unmapped
+    zeros = np.zeros(int(widths.max(initial=0)))
+    sgn = np.empty(len(lengths), dtype=np.int8)
+    log = np.empty(len(lengths), dtype=np.float64)
+    for i, (rows, n) in zip(chunks, shapes):
+        sgn[i], log[i] = _reduce(*_log_prefix(partial(fill, i), rows, n, bufs), widths[i], zeros)
+    return sgn, log
 
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    return _scalar(_reduce(*_float_prefix(np.array([N]), np.array([x], dtype=np.float64))))
+    (s,), (l,) = _reduce(*_float_prefix(np.array([N]), np.array([x], dtype=np.float64)))
+    return int(s), l
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -281,89 +312,47 @@ def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     return sgnf[0], logf[0]
 
 
-def _grid_tables(N, e, ky):
-    """Dyadic points x = ky / 2^e of color N on the integer core, each
-    once per x <-> 1-x pair, in chunks of at most ``_CHUNK_FACTORS``
-    factors.  The points are grouped by their reduced denominator Q, and
-    a group is taken only when its table of Q/2 + 1 cosines is no longer
-    than the factors it serves; the float route gives the same bits.
-    Returns (taken, signs, logs), taken a mask over ky."""
-    ks, inv = np.unique(np.minimum(ky, (1 << e) - ky), return_inverse=True)
-    # each numerator's own power-of-two denominator 2^e / lowbit(k)
-    low = ks & -ks
-    low[ks == 0] = 1 << e
-    # with return_inverse np.unique sorts; without, numpy 2 first imports
-    # numpy.ma, some 25 ms of a short CLI run
-    Qs, by_Q = np.unique((1 << e) // low, return_inverse=True)
-    us = np.empty(len(ks), dtype=np.int8)
-    ul = np.empty(len(ks), dtype=np.float64)
-    taken = np.zeros(len(ks), dtype=bool)
-    for g, Q in enumerate(Qs.tolist()):
-        group = np.flatnonzero(by_Q == g)
-        if Q // 2 + 1 > len(group) * N:
-            continue
-        taken[group] = True
-        tab = _twocos(np.arange(Q // 2 + 1), Q)
-        k = ks[group] // ((1 << e) // Q)
-        gc = tab.take(_fold(k * N, Q))
-        live = _live(N, k, Q)
-        for chunk in _chunks([N - 1] * len(k)):
-            j = np.arange(1, int(live[chunk].max()), dtype=np.int64)
-            gq = tab.take(_fold(np.multiply.outer(k[chunk], j), Q))
-            i = group[chunk]
-            us[i], ul[i] = _live_reduce(gc[chunk], gq, live[chunk], N)
-    taken = taken[inv]
-    return taken, us[inv][taken], ul[inv][taken]
-
-
 # The grids call the private helpers, never jones_scan, so a wrapper put
 # around a public kernel (perfbench/tracing.py) sees each point once.
 def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation over paired arrays of colors and positions.  A
     color below 1 has no factor, as color 1."""
-    order = np.argsort(Ns, kind="stable")
-    Ns = np.maximum(np.asarray(Ns, dtype=np.int64), 1)[order]
-    xs = np.asarray(xs, dtype=np.float64)[order]
+    Ns = np.maximum(np.asarray(Ns, dtype=np.int64), 1)
+    xs = np.asarray(xs, dtype=np.float64)
     sgn = np.empty(len(xs), dtype=np.int8)
     log = np.empty(len(xs), dtype=np.float64)
-    # x = k / 2^e with e + bit_length(N) <= 53 makes every x*j, j <= N,
-    # exact, so its folded float phases are exact and equal at 1 - x
-    e = 53 - np.frexp(Ns.astype(np.float64))[1]
-    y = np.ldexp(xs, e)
-    floated = ~((xs >= 0.0) & (xs < 1.0) & (y == np.floor(y)))
-    dyadic = np.flatnonzero(~floated)
-    runs = np.flatnonzero(np.diff(Ns[dyadic])) + 1
-    for group in np.split(dyadic, runs) if len(dyadic) else ():
-        i = group[0]
-        taken, s, l = _grid_tables(int(Ns[i]), int(e[i]), y[group].astype(np.int64))
-        sgn[group[taken]], log[group[taken]] = s, l
-        floated[group[~taken]] = True
-    # the rest, of every color, in one float-phase pass sorted by color
-    idx = np.flatnonzero(floated)
-    cs = Ns[idx]
-    for chunk in _chunks((cs - 1).tolist()):
-        i = idx[chunk]
-        sgn[i], log[i] = _reduce(*_float_prefix(cs[chunk], xs[i]), cs[chunk].tolist())
-    out_s = np.empty_like(sgn)
-    out_l = np.empty_like(log)
-    out_s[order], out_l[order] = sgn, log
-    return out_s, out_l
+    # x = y / 2^e with integer y and e + bit_length(N) <= 53 makes every
+    # x*j, j <= N, exact, also at 1 - x
+    y = np.ldexp(xs, 53 - np.frexp(Ns)[1])
+    exact = (xs >= 0.0) & (xs < 1.0) & (y == np.floor(y))
+    dyadic = np.flatnonzero(exact)
+    # one exact key N + min(x, 1 - x) per distinct (color, folded x).
+    # Without return_inverse, np.unique first imports numpy.ma, some
+    # 25 ms of a short CLI run
+    x = xs[dyadic]
+    keys, inv = np.unique(Ns[dyadic] + np.minimum(x, 1.0 - x), return_inverse=True)
+    c = keys.astype(np.int64)
+    # x = y / 2^52 = k/Q in lowest terms, Q = 2^52 / lowbit(y); 0 is 0/1
+    y = np.ldexp(keys - c, 52).astype(np.int64)
+    low = np.where(y == 0, 1 << 52, y & -y)
+    us = np.empty(len(keys), dtype=np.int8)
+    ul = np.empty(len(keys), dtype=np.float64)
+    Qs, by_Q = np.unique((1 << 52) // low, return_inverse=True)
+    for g, Q in enumerate(Qs.tolist()):
+        i = np.flatnonzero(by_Q == g)
+        us[i], ul[i] = _rational(c[i], y[i] // low[i], Q)
+    sgn[dyadic], log[dyadic] = us[inv], ul[inv]
+    # the rest, of every color, in one float-phase pass
+    rest = np.flatnonzero(~exact)
+    cs, xr = Ns[rest], xs[rest]
+    sgn[rest], log[rest] = _rows(cs - 1, cs, lambda i, *block: _factors(cs[i], xr[i])(*block))
+    return sgn, log
 
 
 def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation of colors cs at t = exp(2 pi i r/N), integer r;
     a color below 1 has no factor, as color 1.  Each distinct color is
-    evaluated once, and sorted by live length, colors of every width
-    share chunks through one row of cosines 2cos(2 pi q_j/N)."""
+    evaluated once."""
     cs, inv = np.unique(np.maximum(np.asarray(cs, dtype=np.int64), 1), return_inverse=True)
-    us = np.empty(len(cs), dtype=np.int8)
-    ul = np.empty(len(cs), dtype=np.float64)
-    live = _live(cs, r, N)
-    m = int(live.max(initial=1)) - 1
-    gq = _twocos(_fold(r * np.arange(1, m + 1, dtype=np.int64), N), N)[None, :]
-    gc = _twocos(_fold(r * cs, N), N)
-    order = np.argsort(live, kind="stable")
-    for chunk in _chunks((live[order] - 1).tolist()):
-        i = order[chunk]
-        us[i], ul[i] = _live_reduce(gc[i], gq, live[i], cs[i].tolist())
-    return us[inv], ul[inv]
+    sgn, log = _rational(cs, r, N)
+    return sgn[inv], log[inv]

@@ -136,8 +136,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _steps(step: float) -> int:
+    """Number n of grid steps over a unit interval; step must be 1/n for
+    a whole n >= 1, to 1e-9, or it is a domain error."""
+    n = round(1.0 / step) if step > 0.0 and math.isfinite(1.0 / step) else 0
+    if n < 1 or abs(n * step - 1.0) > 1e-9:
+        raise DomainError(f"--step must be 1/n for a whole number n >= 1, got {step}")
+    return n
+
+
 def _figure_curve(which, step: float):
-    n = int(round(1.0 / step))
+    n = _steps(step)
     xs = np.arange(n + 1) / n
     vals = which(xs)
     rows = [f"{_fmt(x)},,{_fmt(v)}," for x, v in zip(xs, vals)]
@@ -153,7 +162,7 @@ def _record_rows(records) -> list[str]:
 
 
 def _figure_conv(lo: float, N: int, step: float):
-    n = int(round(1.0 / step))
+    n = _steps(step)
     rs = [lo + k * step for k in range(n + 1)]
     return "r,finite,predicted,delta", _record_rows(convergence_table(rs, N))
 
@@ -176,8 +185,8 @@ def _cmd_figure(args) -> int:
               "--check", file=sys.stderr)
         return EXIT_USAGE
     N, step = args.N, args.step
-    if step is not None and not step > 0.0:
-        raise DomainError(f"--step must be positive, got {step}")
+    if step is not None:
+        _steps(step)
     if fid in ("V", "W"):
         header, rows = _figure_curve(limit_V if fid == "V" else limit_W,
                                      0.001 if step is None else step)

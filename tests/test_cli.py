@@ -213,6 +213,15 @@ class TestChecksAndExitCodes:
         ("figure", "cable", "--N", "0"),
         ("figure", "V", "--step", "0"),
         ("figure", "V", "--step", "-0.5"),
+        # a step that is not 1/n for a whole n: n = 0 (an empty grid
+        # that divided by zero) or a grid that misses the interval's end
+        ("figure", "V", "--step", "2"),
+        ("figure", "V", "--step", "0.3"),
+        ("figure", "conv1", "--N", "100", "--step", "3"),
+        ("figure", "conv1", "--N", "100", "--step", "0.3"),
+        ("figure", "cable", "--N", "20", "--step", "0.3"),
+        ("figure", "W", "--step", "nan"),
+        ("figure", "W", "--step", "1e-320"),
     ])
     def test_figure_bad_size_is_2_and_writes_nothing(self, tmp_path, cmd):
         path = tmp_path / "out.csv"

@@ -187,6 +187,12 @@ class TestGrids:
             fill = _kernels._factors(cs, xs)
             g = fill(0, cs[-1] - 1, *np.empty((2, len(cs), cs[-1] - 1)))
             assert (g[np.arange(len(cs) - 1), cs[:-1] - 1] == 0.0).all()
+        # dyadic non-integer profiles, x = 3/2048 and 1/64: one rational
+        # call carries every color, each row at its own k, live length
+        # and width
+        for N, r in ((1024, 1.5), (800, 12.5)):
+            cs = np.arange(1, 2 * N, 2, dtype=np.int64)
+            self.assert_grid_is_scan(cs, np.full(len(cs), r / N))
 
     def test_grid_color_spanning_chunks(self):
         # N = 101 fills two whole chunks plus a remainder, interleaved
@@ -224,28 +230,40 @@ class TestGrids:
 
     def test_grid_dyadic_past_exactness_limit_takes_float_path(self, monkeypatch):
         # 2^-50 at N = 1000: 50 + bit_length(1000) = 60 > 53, so x*j need
-        # not be exact; 1 - 2^-50 shows it, its products round.  2^-43
-        # and 2^-40 are exact, but their tables of 2^42 + 1 and 2^39 + 1
-        # cosines would serve 1000 factors a point, so they take the
-        # float route too.  The quarter points stay on the integer core,
-        # on tables of two and three cosines, also beside 2^-43: each
-        # reduced denominator has its own table, or takes the float route.
-        seen = []
-        factors = _kernels._factors
+        # not be exact; 1 - 2^-50 shows it, its products round.  These two
+        # alone take the float route.  2^-43, 2^-40 and 1 - 2^-40 are
+        # exact and take the rational core on direct cosines: tables of
+        # 2^42 + 1 and 2^39 + 1 cosines would serve 999 factors a point.
+        # The quarter points take tables of two and three cosines, also
+        # beside 2^-43: each denominator Q has its own call and rule.
+        floated, cosines = [], []
+        factors, twocos = _kernels._factors, _kernels._twocos
 
-        def spy(N, xs):
-            seen.extend(xs.tolist())
-            return factors(N, xs)
+        def spy_factors(cs, xs):
+            floated.extend(xs.tolist())
+            return factors(cs, xs)
 
-        monkeypatch.setattr(_kernels, "_factors", spy)
-        far = [0.5 ** 50, 1 - 0.5 ** 50, 0.5 ** 43, 0.5 ** 40, 1 - 0.5 ** 40]
+        def spy_twocos(q, Q):
+            # a table is the cosine of every q = 0..Q/2
+            table = q.size == Q // 2 + 1 and np.array_equal(q, np.arange(q.size))
+            cosines.append((Q, table))
+            return twocos(q, Q)
+
+        monkeypatch.setattr(_kernels, "_factors", spy_factors)
+        monkeypatch.setattr(_kernels, "_twocos", spy_twocos)
+        past = [0.5 ** 50, 1 - 0.5 ** 50]
+        far = past + [0.5 ** 43, 0.5 ** 40, 1 - 0.5 ** 40]
         quarters = [0.25, 0.5, 0.75]
-        for xs, floated in ((far, far), (quarters, []),
-                            (quarters + [0.5 ** 43], [0.5 ** 43])):
-            seen.clear()
+        for xs, direct, tables in ((far, {2 ** 43, 2 ** 40}, []),
+                                   (quarters, set(), [2, 4]),
+                                   (quarters + [0.5 ** 43], {2 ** 43}, [2, 4])):
+            floated.clear()
+            cosines.clear()
             Ns = np.full(len(xs), 1000, dtype=np.int64)
             _kernels.jones_grid(Ns, np.array(xs))
-            assert sorted(seen) == sorted(floated)
+            assert sorted(floated) == sorted(x for x in xs if x in past)
+            assert {Q for Q, table in cosines if not table} == direct
+            assert sorted(Q for Q, table in cosines if table) == tables
             self.assert_grid_is_scan(Ns, np.array(xs))
 
     def test_grid_empty_and_inputs_untouched(self):
