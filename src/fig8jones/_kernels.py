@@ -56,8 +56,9 @@ past its own first vanishing factor, an exact 0.0 (on the float route
 g(c), two cosines of the same float x*c), so its extra columns are
 dead and its prefix and max are those of the lone row.  ``_reduce``
 sums each row over its own width c: one np.sum over the block when
-every width is the block's, else one sum per row.  The scans and
-``jones_prefix`` are the one-row case.  cumsum/cumprod along a row are
+every width is the block's, else one sum per row, and a row alone in
+its chunk by ``_segment_sum`` (below).  The scans and ``jones_prefix``
+are the one-row case.  cumsum/cumprod along a row are
 sequential recurrences and a sum over a contiguous row of c terms is
 the same pairwise sum, so the grids match the scans bit for bit.
 
@@ -66,17 +67,27 @@ Within a chunk the core runs in column blocks of at most
 chunk of the grids is one block and only a lone row longer than
 ``_CHUNK_FACTORS`` (a long scan, ``jones_prefix``, a long color) takes
 several.  Each block's first log and sign take the row's carried
-prefix, logf[a] and sgnf[a], before the cumsum and cumprod: the same
-recurrences, so the prefixes are bit for bit those of the whole row.
-``_reduce`` takes the row max in one np.max and subtracts it, exps and
-multiplies by the sign block by block in place.  Only the prefix arrays
-stay full length, 9 bytes per factor (float64 logs, int8 signs): every
-exp needs the row's global max, so logf cannot be released block by
-block without rescaling, which would move last digits.
+prefix, the last log and sign of the block before, ahead of the cumsum
+and cumprod: the same recurrences, so the prefixes are bit for bit
+those of the whole row.
+
+Dropped blocks: a block whose max log lies ``_DROP`` = 750 nats or more
+below the row's running max is let go as soon as it is made, and a kept
+block once the running max has risen that far past its own (checked
+whenever the kept blocks have doubled).  Each of its terms
+exp(log - max) is then exactly 0.0, and adding +-0.0 to a sum changes
+no bit of a nonzero result.  A lone row is summed over its
+width by replaying numpy's pairwise tree (``_segment_sum``): a subtree
+with no kept column is 0.0, one inside a kept block a single np.sum of
+that slice, and a leaf of at most 128 terms across a gap is summed
+zero-filled.  So a long scan keeps only the blocks near its max, and
+its columns past the formed prefix stay virtual; ``jones_prefix``
+writes every block into its full-length result arrays.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import partial
 
 import numpy as np
@@ -119,9 +130,9 @@ def _factors(cs, xs):
     return fill
 
 
-def _float_prefix(cs, xs):
+def _float_prefix(cs, xs, bufs=None):
     """``_log_prefix`` of the float-phase rows of colors cs >= 1 at xs."""
-    return _log_prefix(_factors(cs, xs), len(cs), int(cs.max()) - 1)
+    return _log_prefix(_factors(cs, xs), len(cs), int(cs.max()) - 1, bufs)
 
 
 def _twocos(q, Q):
@@ -190,79 +201,145 @@ def _block_width(rows):
 
 def _buffers(shapes):
     """Flat buffers that ``_log_prefix`` shapes for each (rows, n) of
-    shapes: prefix signs and logs and two block buffers, all views of
-    one allocation.  As separate arrays, freed together after each call,
-    glibc's malloc handed them back to the system and the next call
-    faulted them in again: some 60 minor faults per ``jones_grid_exact``
-    call at N = 3000, against none."""
-    p = max((rows * (n + 1) for rows, n in shapes), default=0)
+    shapes: prefix signs and logs for the chunks that are one block, and
+    two block buffers, all views of one allocation.  As separate arrays,
+    freed together after each call, glibc's malloc handed them back to
+    the system and the next call faulted them in again: some 60 minor
+    faults per ``jones_grid_exact`` call at N = 3000, against none."""
+    p = max((rows * (n + 1) for rows, n in shapes if n <= _block_width(rows)), default=0)
     g = max((rows * min(_block_width(rows), n) for rows, n in shapes), default=0)
     logs, gb, tb, signs = np.split(np.empty(p + 2 * g + (p + 7) // 8), np.cumsum([p, g, g]))
     return signs.view(np.int8)[:p], logs, gb, tb
 
 
+# exp(t) is 0.0 for every float64 t below log(2^-1075) = -745.13 (half
+# the least subnormal), and numpy's exp returns 0.0 at -750 and below
+# (a test pins it).  Rounding is monotonic, so a block whose max log
+# lies 750 or more below the row's max, in float, has fl(log - max)
+# <= -750 and exp(...) = 0.0 in every column.
+_DROP = 750.0
+
+
 def _log_prefix(fill, rows, n, bufs=None):
-    """Row-wise (signs, log|f(k)|), k = 0..n, of the partial products
-    f(k) = g(1)...g(k), f(0) = 1, of the n factors a row that
-    fill(a, b, out, tmp) writes, j = a+1..b, into out.  Factors are
-    built one column block (``_block_width``) at a time in two reused
-    buffers; each block's first log and sign take the row's prefix
-    before the block, so cumsum and cumprod run the same sequential
-    recurrences as over the whole row, and only the results stay full
-    length, 9 bytes per factor.  A vanished factor's log|0| = -inf
-    carries through the cumsum, so dead prefixes read -inf exactly where
-    their sign is 0.  The arrays are views of bufs (``_buffers``), made
-    for this call if not given."""
+    """Row-wise signed log-prefixes (signs, log|f(k)|), k = 0..n, of the
+    partial products f(k) = g(1)...g(k), f(0) = 1, of the n factors a
+    row that fill(a, b, out, tmp) writes, j = a+1..b, into out.  Factors
+    are built one column block (``_block_width``) at a time in two
+    reused buffers; each block's first log and sign take the row's
+    prefix before the block, so cumsum and cumprod run the same
+    sequential recurrences as over the whole row.  A vanished factor's
+    log|0| = -inf carries through the cumsum, so dead prefixes read -inf
+    exactly where their sign is 0.
+
+    Returns the kept blocks, (k, signs, logs, max) for prefix columns k
+    onwards, and the rows' max logs.  A block is dropped (module
+    docstring) once every row's max in it is ``_DROP`` below the row's
+    running max.  The blocks are views of bufs (``_buffers``, made for
+    this call if not given) when its prefix arrays hold all n + 1
+    columns of every row, else arrays of their own, which only the kept
+    blocks outlive."""
     sb, lb, gb, tb = bufs or _buffers([(rows, n)])
     w = _block_width(rows)
     m = min(w, n)
-    sgnf, logf = sb[:rows * (n + 1)].reshape(rows, -1), lb[:rows * (n + 1)].reshape(rows, -1)
+    whole = len(lb) >= rows * (n + 1)
     gbuf, sbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
-    sgnf[:, 0] = 1
-    logf[:, 0] = 0.0
-    for a in range(0, n, w):
+    kept, held, top = [], 1, None
+    for a in range(0, max(n, 1), w):
         b = min(a + w, n)
-        s = sbuf[:, :b - a]
-        g = fill(a, b, gbuf[:, :b - a], s)
-        np.sign(g, out=s)
-        if a:
-            s[:, 0] *= sgnf[:, a]
-        sgnf[:, a + 1:b + 1] = np.cumprod(s, axis=1, out=s)
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(g, out=g), out=g)
-        if a:
-            g[:, 0] += logf[:, a]
-        np.cumsum(g, axis=1, out=logf[:, a + 1:b + 1])
-    return sgnf, logf
+        k = a + 1 if a else 0  # block 0 also holds f(0) = 1
+        if whole:
+            sgn = sb[rows * k:rows * (b + 1)].reshape(rows, -1)
+            log = lb[rows * k:rows * (b + 1)].reshape(rows, -1)
+        else:
+            sgn, log = np.empty((rows, b + 1 - k), dtype=np.int8), np.empty((rows, b + 1 - k))
+        if not a:
+            sgn[:, 0], log[:, 0] = 1, 0.0
+        if b > a:
+            s = sbuf[:, :b - a]
+            g = fill(a, b, gbuf[:, :b - a], s)
+            np.sign(g, out=s)
+            if a:
+                s[:, 0] *= carry_sgn
+            sgn[:, a + 1 - k:] = np.cumprod(s, axis=1, out=s)
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(g, out=g), out=g)
+            if a:
+                g[:, 0] += carry_log
+            np.cumsum(g, axis=1, out=log[:, a + 1 - k:])
+        carry_sgn, carry_log = sgn[:, -1], log[:, -1]
+        M = np.max(log, axis=1)
+        top = M if top is None else np.maximum(top, M)
+        if not a or not (M - top <= -_DROP).all():  # block 0 starts the max
+            kept.append((k, sgn, log, M))
+        # the kept blocks are checked again once they have doubled, so
+        # a row that keeps them all is not rechecked at every block
+        if len(kept) > 2 * held:
+            kept = [blk for blk in kept if not (blk[3] - top <= -_DROP).all()]
+            held = len(kept)
+    return kept, top
 
 
-def _reduce(sgnf, logf, widths=None, zeros=None):
-    """Row-wise (signs, log|sum_k f(k)|): peel each row's max, then a
-    pairwise sum (np.sum) over the row's width, widths[i] (logf's own by
-    default), the columns past logf's being +0.0.  Overwrites logf: the
-    subtraction of the max, the exp and the sign product run in place,
-    one column block (``_block_width``) at a time.  f(0) = 1 keeps every
-    max finite, and exp(-inf) * 0 is +0.0 exactly where a factor
-    vanished, so no row needs masking.  Rows whose width is logf's take
-    one np.sum over the block; otherwise each row is copied into the
+# numpy's pairwise sum over n contiguous terms: up to 128 terms are one
+# leaf (eight interleaved accumulators), more split at n/2 rounded down
+# to a multiple of 8
+_LEAF = 128
+
+
+def _segment_sum(segs, n):
+    """np.sum of a row of n terms that are zero outside segs, a list of
+    (k, values) holding columns k onwards in column order, by replaying
+    numpy's pairwise tree: the same bits, up to the sign of a zero sum."""
+    starts = [k for k, _ in segs]
+    ends = [k + len(v) for k, v in segs]
+
+    def tree(lo, hi, i, j):
+        # segs[i:j] are the ones that overlap columns lo..hi-1
+        if i == j:
+            return 0.0
+        if j - i == 1 and starts[i] <= lo and hi <= ends[i]:
+            return np.add.reduce(segs[i][1][lo - starts[i]:hi - starts[i]])
+        if hi - lo <= _LEAF:
+            leaf = np.zeros(hi - lo)
+            for (k, v), e in zip(segs[i:j], ends[i:j]):
+                a, b = max(k, lo), min(e, hi)
+                leaf[a - lo:b - lo] = v[a - k:b - k]
+            return np.add.reduce(leaf)
+        mid = lo + (hi - lo) // 2 // 8 * 8
+        return (tree(lo, mid, i, bisect_left(starts, mid, i, j))
+                + tree(mid, hi, bisect_right(ends, mid, i, j), j))
+
+    return tree(0, n, 0, len(segs))
+
+
+def _reduce(blocks, M, widths, zeros=None):
+    """Row-wise (signs, log|sum_k f(k)|) of ``_log_prefix``'s kept blocks
+    and row maxima M: peel each row's max, then a pairwise sum (np.sum)
+    over the row's width, widths[i], the columns past the formed ones
+    being +0.0.  Overwrites the blocks: the subtraction of the max, the
+    exp and the sign product run in place.  f(0) = 1 keeps every max
+    finite, and exp(-inf) * 0 is +0.0 exactly where a factor vanished,
+    so no row needs masking.  A lone row takes ``_segment_sum``.  Rows
+    of a chunk, always one block, take one np.sum over the block when
+    every width is the block's; otherwise each row is copied into the
     head of ``zeros``, a buffer as long as the longest width and zero
-    past logf's, and summed over exactly its width, so each keeps the
-    pairwise-sum tree of a lone row."""
-    rows, n = logf.shape
-    M = np.max(logf, axis=1)
-    w = _block_width(rows)
-    for a in range(0, n, w):
-        f = logf[:, a:a + w]
+    past the block's, and summed over exactly its width, so each keeps
+    the pairwise-sum tree of a lone row."""
+    for _, sgn, f, _ in blocks:
         np.subtract(f, M[:, None], out=f)
         np.exp(f, out=f)
-        f *= sgnf[:, a:a + w]
-    if widths is None or (widths == n).all():
-        s = np.sum(logf, axis=1)
+        f *= sgn
+    if len(M) == 1:
+        s = np.array([_segment_sum([(k, f[0]) for k, _, f, _ in blocks], int(widths[0]))])
     else:
-        s = np.empty(rows)
-        for i, w in enumerate(widths.tolist()):
-            zeros[:n] = logf[i]
-            s[i] = np.add.reduce(zeros[:w])
+        (_, _, f, _), = blocks
+        rows, n = f.shape
+        if (widths == n).all():
+            s = np.sum(f, axis=1)
+        else:
+            s = np.empty(rows)
+            for i, w in enumerate(widths.tolist()):
+                zeros[:n] = f[i]
+                s[i] = np.add.reduce(zeros[:w])
     with np.errstate(divide="ignore"):
         return np.sign(s).astype(np.int8), M + np.log(np.abs(s))
 
@@ -290,9 +367,10 @@ def _rows(lengths, widths, fill):
     chunks = [order[sl] for sl in _chunks(lengths[order].tolist())]
     shapes = [(len(i), int(lengths[i[-1]])) for i in chunks]
     bufs = _buffers(shapes)
-    # the chunks come in ascending length, so no row is ever copied past
-    # the current chunk's prefix, and its untouched pages stay unmapped
-    zeros = np.zeros(int(widths.max(initial=0)))
+    # only the rows of multi-row chunks are copied into zeros; in
+    # ascending length no row is copied past the current chunk's
+    # prefix, and its untouched pages stay unmapped
+    zeros = np.zeros(int(np.delete(widths, [i[0] for i in chunks if len(i) == 1]).max(initial=0)))
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i, (rows, n) in zip(chunks, shapes):
@@ -302,14 +380,17 @@ def _rows(lengths, widths, fill):
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    (s,), (l,) = _reduce(*_float_prefix(np.array([N]), np.array([x], dtype=np.float64)))
+    (s,), (l,) = _reduce(*_float_prefix(np.array([N]), np.array([x], dtype=np.float64)),
+                         np.array([N]))
     return int(s), l
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
-    sgnf, logf = _float_prefix(np.array([N]), np.array([x], dtype=np.float64))
-    return sgnf[0], logf[0]
+    _, _, gb, tb = _buffers([(1, N - 1)])
+    sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
+    _float_prefix(np.array([N]), np.array([x], dtype=np.float64), (sgnf, logf, gb, tb))
+    return sgnf, logf
 
 
 # The grids call the private helpers, never jones_scan, so a wrapper put

@@ -185,13 +185,18 @@ def _cmd_figure(args) -> int:
               "--check", file=sys.stderr)
         return EXIT_USAGE
     N, step = args.N, args.step
+    # an option that does not shape this figure is refused, not ignored
+    unused = {"V": ("N", "r"), "W": ("N", "r"), "cable": ("step",)}.get(fid, ("r",))
+    given = [f"--{name}" for name in unused if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"figure {fid} takes no {' or '.join(given)}")
     if step is not None:
         _steps(step)
     if fid in ("V", "W"):
         header, rows = _figure_curve(limit_V if fid == "V" else limit_W,
                                      0.001 if step is None else step)
     elif fid == "cable":
-        profile = cable_profile(800 if N is None else N, args.r)
+        profile = cable_profile(800 if N is None else N, 1.0 if args.r is None else args.r)
         header = "c,value"
         rows = [f"{row.c}," if row.flagged else f"{row.c},{_fmt(row.value)}"
                 for row in profile.rows]
@@ -299,7 +304,7 @@ def build_parser() -> _Parser:
                         "0.01, N=2000; conv8000: r in [4,5] at N=8000; "
                         "cable: color profile rows (c,value)")
     q.add_argument("--N", type=int, default=None)
-    q.add_argument("--r", type=float, default=1.0, help="cable growth parameter")
+    q.add_argument("--r", type=float, default=None, help="cable growth parameter, default 1")
     q.add_argument("--step", type=float, default=None)
     q.add_argument("--out", default=None, help="output path; '-' for stdout")
     q.add_argument("--check", action="store_true")
@@ -377,8 +382,10 @@ def main(argv=None) -> int:
         print(f"fig8jones: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:
-        print("fig8jones: numeric error: not enough memory (a scan of color N "
-              "keeps 9 bytes per factor, about 9*N bytes)", file=sys.stderr)
+        print("fig8jones: numeric error: not enough memory (a scan keeps 9 bytes "
+              "per factor within 750 nats of its max log, all of a row that does "
+              "not grow; profiles, quadratures and homology orders hold arrays "
+              "that grow with N or the sample count)", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"fig8jones: domain error: {exc}", file=sys.stderr)

@@ -222,6 +222,15 @@ class TestChecksAndExitCodes:
         ("figure", "cable", "--N", "20", "--step", "0.3"),
         ("figure", "W", "--step", "nan"),
         ("figure", "W", "--step", "1e-320"),
+        # options that do not shape the chosen figure are refused, not
+        # silently ignored
+        ("figure", "V", "--r", "3"),
+        ("figure", "V", "--N", "7"),
+        ("figure", "W", "--N", "7", "--r", "3"),
+        ("figure", "cable", "--step", "0.5"),
+        ("figure", "cable", "--N", "20", "--r", "1", "--step", "0.01"),
+        ("figure", "conv1", "--r", "1"),
+        ("figure", "conv8000", "--N", "100", "--r", "2"),
     ])
     def test_figure_bad_size_is_2_and_writes_nothing(self, tmp_path, cmd):
         path = tmp_path / "out.csv"
@@ -245,8 +254,8 @@ class TestChecksAndExitCodes:
         assert "numeric error" in err
 
     def test_out_of_memory_is_70_in_one_line(self, monkeypatch):
-        # a color too large to hold its 9 bytes per factor; raised by a
-        # stub, so no test allocates a huge array
+        # an allocation that fails; raised by a stub, so no test
+        # allocates a huge array
         import fig8jones.cli
 
         def no_memory(p):
@@ -258,7 +267,8 @@ class TestChecksAndExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith("fig8jones: numeric error: not enough memory")
-        assert "9 bytes per factor" in err and "Traceback" not in err
+        assert "9 bytes per factor within 750 nats of its max log" in err
+        assert "grow with N or the sample count" in err and "Traceback" not in err
 
     def test_precision_error_is_70(self):
         code, _, err = run_cli("mahler", "homology", "--N", "200",

@@ -136,21 +136,76 @@ class TestColumnBlocks:
                     assert ks == 1
                     assert abs(kl - (0.0 if N % 2 else math.log(5.0))) < 1e-15
 
+    def test_windowed_scan_matches_unblocked_formula(self):
+        # rows of several blocks that drop the ones far below their
+        # running max, as they are made or once the max has risen past
+        # them: the sum over the kept blocks must equal, bit for bit, the
+        # dense sum over the whole row
+        C = _kernels._CHUNK_FACTORS
+        for N in (3 * C + 5, 5 * C + 17, 300_001, 10**6):
+            for r in (1.0, 0.9, 1.05, 2.5):
+                x = r / N
+                _, _, (s, l) = self.unblocked(N, x)
+                fill = _kernels._factors(np.array([N]), np.array([x]))
+                blocks, _ = _kernels._log_prefix(fill, 1, N - 1)
+                assert len(blocks) < -(-(N - 1) // (C + 1)), (N, r)
+                ks, kl = _kernels.jones_scan(N, x)
+                assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, r)
+
+    def test_exp_underflows_to_zero_past_the_drop_margin(self):
+        # a dropped block's terms are exp(log - max) with log - max <=
+        # -750: numpy's exp, on the vectorized loop of a long array and on
+        # a short one, must give +0.0 there
+        t = -_kernels._DROP - np.random.default_rng(5).exponential(50.0, 1000)
+        t[:3] = -_kernels._DROP, -1e300, -np.inf
+        for n in (1000, 64, 5):
+            e = np.exp(t[:n])
+            assert (e == 0.0).all() and not np.signbit(e).any()
+        assert np.exp(-_kernels._DROP) == 0.0
+
+    def test_segment_sum_replays_numpy_pairwise_sum(self):
+        # numpy's pairwise tree (leaves of 128, splits at n/2 rounded to
+        # a multiple of 8) replayed over the kept blocks must give
+        # np.sum of the dense row with the other blocks zeroed, bit for
+        # bit, including rows whose tail past the last block is virtual
+        rng = np.random.default_rng(6)
+        C = _kernels._CHUNK_FACTORS
+        for n in [*range(1, 2001), 3 * C + 1, 3 * C + 129, 4 * C + 7, 200_003]:
+            row = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+            width = int(rng.integers(1, max(2, n // 50) + 1))
+            starts = list(range(0, n, width))
+            keep = rng.random(len(starts)) < rng.uniform(0.1, 0.9)
+            keep[rng.integers(len(starts))] = True
+            dense = np.zeros(n)
+            segs = []
+            for k, kept in zip(starts, keep):
+                if kept:
+                    dense[k:k + width] = row[k:k + width]
+                    segs.append((k, row[k:k + width]))
+            tail = int(rng.integers(0, 300))
+            got = _kernels._segment_sum(segs, n + tail)
+            want = np.sum(np.concatenate([dense, np.zeros(tail)]))
+            assert np.float64(got).tobytes() == want.tobytes(), (n, width, tail)
+
     def test_long_scan_memory_is_its_prefix_arrays(self):
-        # a long row keeps its log (float64) and sign (int8) prefixes,
-        # 9 bytes per factor, and a few chunk-sized buffers; factor,
-        # phase or sign arrays of the row's full length would exceed this
+        # a long scan keeps only the blocks near its running max, so its
+        # peak is a few blocks at N = 1e6 and 4e6 alike; jones_prefix
+        # returns the full log (float64) and sign (int8) prefixes, 9
+        # bytes per factor, and a few block-sized buffers
         import tracemalloc
 
-        N = 10**6
-        for f in (_kernels.jones_scan, _kernels.jones_prefix):
+        def peak(f, N):
             tracemalloc.start()
             try:
-                f(N, 1.05e-6)
-                peak = tracemalloc.get_traced_memory()[1]
+                f(N, 1.05 / N)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS, f.__name__
+
+        for N in (10**6, 4 * 10**6):
+            assert peak(_kernels.jones_scan, N) < 16 * 8 * _kernels._CHUNK_FACTORS, N
+        N = 10**6
+        assert peak(_kernels.jones_prefix, N) < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS
 
 
 class TestGrids:
@@ -291,7 +346,7 @@ class TestGrids:
                 out[:] = g[a:b]
                 return out
 
-            s, l = _kernels._reduce(*_kernels._log_prefix(fill, 1, c - 1))
+            s, l = _kernels._reduce(*_kernels._log_prefix(fill, 1, c - 1), np.array([c]))
             return int(s[0]), l[0], bool((q == qc).any())
 
         def dead_rows(cs, r, N):
@@ -337,6 +392,21 @@ class TestGrids:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * _kernels._CHUNK_FACTORS
+
+    def test_grid_exact_lone_row_sums_without_padding(self):
+        # J = 1 from a one-term prefix at color 10^7 + 1: the row is
+        # summed over its width with the tail past its formed columns
+        # virtual, not copied into a zero buffer of 10^7 + 1 terms
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            (s,), (l,) = _kernels.jones_grid_exact(np.array([10**7 + 1]), 1, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s, l) == (1, 0.0)
+        assert peak < 1 << 20
 
     def test_concurrent_callers_get_identical_results(self):
         # pure functions: many threads evaluating the same points must
