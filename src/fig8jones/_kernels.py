@@ -79,10 +79,11 @@ exp(log - max) is then exactly 0.0, and adding +-0.0 to a sum changes
 no bit of a nonzero result.  A lone row is summed over its
 width by replaying numpy's pairwise tree (``_segment_sum``): a subtree
 with no kept column is 0.0, one inside a kept block a single np.sum of
-that slice, and a leaf of at most 128 terms across a gap is summed
-zero-filled.  So a long scan keeps only the blocks near its max, and
-its columns past the formed prefix stay virtual; ``jones_prefix``
-writes every block into its full-length result arrays.
+that slice, and a node of at most ``_GATHER`` terms across a gap or a
+block edge one np.sum of a zero-filled copy.  So a long scan keeps only
+the blocks near its max, and its columns past the formed prefix stay
+virtual; ``jones_prefix`` writes every block into its full-length
+result arrays and keeps none.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def current_backend() -> str:
 def _factors(cs, xs):
     """Float-phase factors at t = exp(2 pi i x) for the paired colors c
     of cs and positions x of xs, phases folded into [0, 1/2], as a
-    ``fill`` for ``_log_prefix``: fill(a, b, out, tmp) writes the rows'
+    ``fill`` for ``_prefix_blocks``: fill(a, b, out, tmp) writes the rows'
     g(j), j = a+1..b, into out and returns it, using tmp (out's shape)
     as scratch.  A row of a shorter color is padded with dead factors:
     its g(c) takes the same float x*c and cosine on both sides, so it is
@@ -130,9 +131,9 @@ def _factors(cs, xs):
     return fill
 
 
-def _float_prefix(cs, xs, bufs=None):
+def _float_prefix(cs, xs):
     """``_log_prefix`` of the float-phase rows of colors cs >= 1 at xs."""
-    return _log_prefix(_factors(cs, xs), len(cs), int(cs.max()) - 1, bufs)
+    return _log_prefix(_factors(cs, xs), len(cs), int(cs.max()) - 1)
 
 
 def _twocos(q, Q):
@@ -200,7 +201,7 @@ def _block_width(rows):
 
 
 def _buffers(shapes):
-    """Flat buffers that ``_log_prefix`` shapes for each (rows, n) of
+    """Flat buffers that ``_prefix_blocks`` shapes for each (rows, n) of
     shapes: prefix signs and logs for the chunks that are one block, and
     two block buffers, all views of one allocation.  As separate arrays,
     freed together after each call, glibc's malloc handed them back to
@@ -220,38 +221,25 @@ def _buffers(shapes):
 _DROP = 750.0
 
 
-def _log_prefix(fill, rows, n, bufs=None):
+def _prefix_blocks(fill, rows, n, store, gb, tb):
     """Row-wise signed log-prefixes (signs, log|f(k)|), k = 0..n, of the
     partial products f(k) = g(1)...g(k), f(0) = 1, of the n factors a
-    row that fill(a, b, out, tmp) writes, j = a+1..b, into out.  Factors
-    are built one column block (``_block_width``) at a time in two
-    reused buffers; each block's first log and sign take the row's
-    prefix before the block, so cumsum and cumprod run the same
-    sequential recurrences as over the whole row.  A vanished factor's
-    log|0| = -inf carries through the cumsum, so dead prefixes read -inf
-    exactly where their sign is 0.
-
-    Returns the kept blocks, (k, signs, logs, max) for prefix columns k
-    onwards, and the rows' max logs.  A block is dropped (module
-    docstring) once every row's max in it is ``_DROP`` below the row's
-    running max.  The blocks are views of bufs (``_buffers``, made for
-    this call if not given) when its prefix arrays hold all n + 1
-    columns of every row, else arrays of their own, which only the kept
-    blocks outlive."""
-    sb, lb, gb, tb = bufs or _buffers([(rows, n)])
+    row that fill(a, b, out, tmp) writes, j = a+1..b, into out, yielded
+    one column block (``_block_width``) at a time as (k, signs, logs)
+    for prefix columns k..b, in the arrays store(k, b) returns.  Factors
+    are built in gb and tb, two block buffers (``_buffers``); each
+    block's first log and sign take the row's prefix before the block,
+    so cumsum and cumprod run the same sequential recurrences as over
+    the whole row.  A vanished factor's log|0| = -inf carries through
+    the cumsum, so dead prefixes read -inf exactly where their sign
+    is 0."""
     w = _block_width(rows)
     m = min(w, n)
-    whole = len(lb) >= rows * (n + 1)
     gbuf, sbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
-    kept, held, top = [], 1, None
     for a in range(0, max(n, 1), w):
         b = min(a + w, n)
         k = a + 1 if a else 0  # block 0 also holds f(0) = 1
-        if whole:
-            sgn = sb[rows * k:rows * (b + 1)].reshape(rows, -1)
-            log = lb[rows * k:rows * (b + 1)].reshape(rows, -1)
-        else:
-            sgn, log = np.empty((rows, b + 1 - k), dtype=np.int8), np.empty((rows, b + 1 - k))
+        sgn, log = store(k, b)
         if not a:
             sgn[:, 0], log[:, 0] = 1, 0.0
         if b > a:
@@ -267,22 +255,63 @@ def _log_prefix(fill, rows, n, bufs=None):
                 g[:, 0] += carry_log
             np.cumsum(g, axis=1, out=log[:, a + 1 - k:])
         carry_sgn, carry_log = sgn[:, -1], log[:, -1]
-        M = np.max(log, axis=1)
+        yield k, sgn, log
+
+
+def _log_prefix(fill, rows, n, bufs=None):
+    """The blocks of ``_prefix_blocks`` that can weigh in the rows' sums,
+    as (k, signs, logs, max), and the rows' max logs.  A block is
+    dropped (module docstring) once every row's max in it is ``_DROP``
+    below the row's running max.  The blocks are views of the prefix
+    arrays of bufs (``_buffers``, made for this call if not given) when
+    these hold all n + 1 columns of every row, as for every chunk of one
+    block.  Otherwise each block takes a slot of a slab, and a dropped
+    block gives its slot back.  A slab is allocated when no slot is
+    free, with as many slots as there are kept blocks: a row that drops
+    its blocks reuses a few slots, and the slabs of a row that keeps
+    them all double, so numpy backs the large ones with huge pages (it
+    advises them from 4 MiB).  A scan at N = 1e7 that keeps every block
+    took 21935 minor page faults with an array per block and takes 3503
+    with slabs (Linux, transparent huge pages on madvise)."""
+    sb, lb, gb, tb = bufs or _buffers([(rows, n)])
+    c = rows * (_block_width(rows) + 1)
+    kept, held, top, free, slot = [], 1, None, [], {}
+
+    def store(k, b):
+        if len(lb) >= rows * (n + 1):
+            return sb[rows * k:rows * (b + 1)].reshape(rows, -1), lb[rows * k:rows * (b + 1)].reshape(rows, -1)
+        if not free:
+            free.extend(np.empty((len(kept) or 1, c + (c + 7) // 8)))
+        row = slot[k] = free.pop()
+        return (row[c:].view(np.int8)[:rows * (b + 1 - k)].reshape(rows, -1),
+                row[:rows * (b + 1 - k)].reshape(rows, -1))
+
+    for k, sgn, log in _prefix_blocks(fill, rows, n, store, gb, tb):
+        M = log.max(axis=1)
         top = M if top is None else np.maximum(top, M)
-        if not a or not (M - top <= -_DROP).all():  # block 0 starts the max
+        if (M - top <= -_DROP).all():  # never block 0, which starts the max
+            free.append(slot.pop(k))
+        else:
             kept.append((k, sgn, log, M))
         # the kept blocks are checked again once they have doubled, so
         # a row that keeps them all is not rechecked at every block
         if len(kept) > 2 * held:
-            kept = [blk for blk in kept if not (blk[3] - top <= -_DROP).all()]
+            dead = (np.array([blk[3] for blk in kept]) - top <= -_DROP).all(axis=1)
+            free.extend(slot.pop(blk[0]) for blk, d in zip(kept, dead) if d)
+            kept = [blk for blk, d in zip(kept, dead) if not d]
             held = len(kept)
     return kept, top
 
 
 # numpy's pairwise sum over n contiguous terms: up to 128 terms are one
 # leaf (eight interleaved accumulators), more split at n/2 rounded down
-# to a multiple of 8
-_LEAF = 128
+# to a multiple of 8.  np.add.reduce over any contiguous copy of a node
+# of that tree runs the node's own subtree, so the replay below can stop
+# at any node of 128 terms or more.  It stops at nodes of up to _GATHER
+# terms: a node across a block edge or gap is then one zero-filled copy
+# of at most 32 KiB, and a row that keeps every block takes about 10
+# Python-level tree steps per block edge, against 16 with leaves of 128.
+_GATHER = 4096
 
 
 def _segment_sum(segs, n):
@@ -298,12 +327,12 @@ def _segment_sum(segs, n):
             return 0.0
         if j - i == 1 and starts[i] <= lo and hi <= ends[i]:
             return np.add.reduce(segs[i][1][lo - starts[i]:hi - starts[i]])
-        if hi - lo <= _LEAF:
-            leaf = np.zeros(hi - lo)
+        if hi - lo <= _GATHER:
+            node = np.zeros(hi - lo)
             for (k, v), e in zip(segs[i:j], ends[i:j]):
                 a, b = max(k, lo), min(e, hi)
-                leaf[a - lo:b - lo] = v[a - k:b - k]
-            return np.add.reduce(leaf)
+                node[a - lo:b - lo] = v[a - k:b - k]
+            return np.add.reduce(node)
         mid = lo + (hi - lo) // 2 // 8 * 8
         return (tree(lo, mid, i, bisect_left(starts, mid, i, j))
                 + tree(mid, hi, bisect_right(ends, mid, i, j), j))
@@ -361,7 +390,7 @@ def _chunks(lengths):
 def _rows(lengths, widths, fill):
     """Row-wise (signs, log|J|) of rows of lengths[i] factors, row i
     summed over widths[i] terms, where fill(i, a, b, out, tmp) is the
-    ``_log_prefix`` fill of the rows of index array i.  Sorted by length,
+    ``_prefix_blocks`` fill of the rows of index array i.  Sorted by length,
     the rows share ``_chunks``, whose buffers are allocated once."""
     order = np.argsort(lengths, kind="stable")
     chunks = [order[sl] for sl in _chunks(lengths[order].tolist())]
@@ -387,9 +416,12 @@ def jones_scan(N: int, x: float) -> tuple[int, float]:
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
-    _, _, gb, tb = _buffers([(1, N - 1)])
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
-    _float_prefix(np.array([N]), np.array([x], dtype=np.float64), (sgnf, logf, gb, tb))
+    # every block is written into the result arrays; none is dropped
+    store = lambda k, b: (sgnf[None, k:b + 1], logf[None, k:b + 1])
+    fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
+    for _ in _prefix_blocks(fill, 1, N - 1, store, *np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)):
+        pass
     return sgnf, logf
 
 

@@ -167,10 +167,13 @@ class TestColumnBlocks:
         # numpy's pairwise tree (leaves of 128, splits at n/2 rounded to
         # a multiple of 8) replayed over the kept blocks must give
         # np.sum of the dense row with the other blocks zeroed, bit for
-        # bit, including rows whose tail past the last block is virtual
+        # bit, including rows whose tail past the last block is virtual.
+        # The replay gathers nodes of up to _GATHER terms, so the rows
+        # past that, of random length, are the ones that test its splits
         rng = np.random.default_rng(6)
         C = _kernels._CHUNK_FACTORS
-        for n in [*range(1, 2001), 3 * C + 1, 3 * C + 129, 4 * C + 7, 200_003]:
+        longer = rng.integers(_kernels._GATHER + 1, 20 * _kernels._GATHER, 40).tolist()
+        for n in [*range(1, 2001), *longer, 3 * C + 1, 3 * C + 129, 4 * C + 7, 200_003]:
             row = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
             width = int(rng.integers(1, max(2, n // 50) + 1))
             starts = list(range(0, n, width))
