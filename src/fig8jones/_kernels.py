@@ -131,11 +131,6 @@ def _factors(cs, xs):
     return fill
 
 
-def _float_prefix(cs, xs):
-    """``_log_prefix`` of the float-phase rows of colors cs >= 1 at xs."""
-    return _log_prefix(_factors(cs, xs), len(cs), int(cs.max()) - 1)
-
-
 def _twocos(q, Q):
     """2 cos(2 pi q/Q) for integer phases q.  For Q a power of two,
     fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so these equal the float
@@ -409,8 +404,8 @@ def _rows(lengths, widths, fill):
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    (s,), (l,) = _reduce(*_float_prefix(np.array([N]), np.array([x], dtype=np.float64)),
-                         np.array([N]))
+    fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
+    (s,), (l,) = _reduce(*_log_prefix(fill, 1, N - 1), np.array([N]))
     return int(s), l
 
 
