@@ -198,14 +198,16 @@ def _block_width(rows):
 def _buffers(shapes):
     """Flat buffers that ``_prefix_blocks`` shapes for each (rows, n) of
     shapes: prefix signs and logs for the chunks that are one block, and
-    two block buffers, all views of one allocation.  As separate arrays,
-    freed together after each call, glibc's malloc handed them back to
-    the system and the next call faulted them in again: some 60 minor
-    faults per ``jones_grid_exact`` call at N = 3000, against none."""
+    two block buffers, all views of one allocation, plus a list of the
+    slab slots that ``_log_prefix`` stores longer rows in.  As separate
+    arrays, freed together after each call, glibc's malloc handed them
+    back to the system and the next call faulted them in again: some 60
+    minor faults per ``jones_grid_exact`` call at N = 3000, against
+    none.  For the same reason the slots serve every row of a call."""
     p = max((rows * (n + 1) for rows, n in shapes if n <= _block_width(rows)), default=0)
     g = max((rows * min(_block_width(rows), n) for rows, n in shapes), default=0)
     logs, gb, tb, signs = np.split(np.empty(p + 2 * g + (p + 7) // 8), np.cumsum([p, g, g]))
-    return signs.view(np.int8)[:p], logs, gb, tb
+    return signs.view(np.int8)[:p], logs, gb, tb, []
 
 
 # exp(t) is 0.0 for every float64 t below log(2^-1075) = -745.13 (half
@@ -257,26 +259,33 @@ def _log_prefix(fill, rows, n, bufs=None):
     """The blocks of ``_prefix_blocks`` that can weigh in the rows' sums,
     as (k, signs, logs, max), and the rows' max logs.  A block is
     dropped (module docstring) once every row's max in it is ``_DROP``
-    below the row's running max.  The blocks are views of the prefix
-    arrays of bufs (``_buffers``, made for this call if not given) when
-    these hold all n + 1 columns of every row, as for every chunk of one
-    block.  Otherwise each block takes a slot of a slab, and a dropped
-    block gives its slot back.  A slab is allocated when no slot is
-    free, with as many slots as there are kept blocks: a row that drops
-    its blocks reuses a few slots, and the slabs of a row that keeps
-    them all double, so numpy backs the large ones with huge pages (it
-    advises them from 4 MiB).  A scan at N = 1e7 that keeps every block
-    took 21935 minor page faults with an array per block and takes 3503
-    with slabs (Linux, transparent huge pages on madvise)."""
-    sb, lb, gb, tb = bufs or _buffers([(rows, n)])
+    below the row's running max.  A chunk of one block, for which the
+    prefix arrays of bufs (``_buffers``, made for this call if not
+    given) hold all n + 1 columns of every row, is that block, a view of
+    them.  A longer row stores each block in a slot of a slab, from the
+    slots of bufs that every row of a call shares, and a dropped block
+    gives its slot back.  A slab is allocated when no slot is free, with
+    as many slots as there are kept blocks: a row that drops its blocks
+    reuses a few slots, and the slabs of a row that keeps them all
+    double, so numpy backs the large ones with huge pages (it advises
+    them from 4 MiB).  A scan at N = 1e7 that keeps every block took
+    21935 minor page faults with an array per block and takes 3503 with
+    slabs (Linux, transparent huge pages on madvise)."""
+    sb, lb, gb, tb, slots = bufs or _buffers([(rows, n)])
+    if n <= _block_width(rows):  # one block: its max is the row's
+        p = rows * (n + 1)
+        store = lambda k, b: (sb[:p].reshape(rows, -1), lb[:p].reshape(rows, -1))
+        (k, sgn, log), = _prefix_blocks(fill, rows, n, store, gb, tb)
+        M = log.max(axis=1)
+        return [(k, sgn, log, M)], M
     c = rows * (_block_width(rows) + 1)
-    kept, held, top, free, slot = [], 1, None, [], {}
+    # the blocks of the rows before this one are summed and dead
+    kept, held, top, free, slot = [], 1, None, slots[:], {}
 
     def store(k, b):
-        if len(lb) >= rows * (n + 1):
-            return sb[rows * k:rows * (b + 1)].reshape(rows, -1), lb[rows * k:rows * (b + 1)].reshape(rows, -1)
         if not free:
             free.extend(np.empty((len(kept) or 1, c + (c + 7) // 8)))
+            slots.extend(free)
         row = slot[k] = free.pop()
         return (row[c:].view(np.int8)[:rows * (b + 1 - k)].reshape(rows, -1),
                 row[:rows * (b + 1 - k)].reshape(rows, -1))
@@ -415,7 +424,8 @@ def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     # every block is written into the result arrays; none is dropped
     store = lambda k, b: (sgnf[None, k:b + 1], logf[None, k:b + 1])
     fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
-    for _ in _prefix_blocks(fill, 1, N - 1, store, *np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)):
+    gb, tb = np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)
+    for _ in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
         pass
     return sgnf, logf
 

@@ -260,6 +260,11 @@ class TestGrids:
         Ns = np.array([101] * (2 * rows + 7) + [9] * 5, dtype=np.int64)
         rng.shuffle(Ns)
         self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
+        # a lone row just past one column block, in a call whose chunk of
+        # 103 rows of 160 prefix columns sized the shared prefix buffers
+        # past that row's 16400 columns: it still runs in two blocks
+        Ns = np.array([160] * 103 + [16400], dtype=np.int64)
+        self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
 
     def test_grid_dyadic_quadrature_grid(self):
         # dyadic points go through the integer-phase core once per
