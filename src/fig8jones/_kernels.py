@@ -36,13 +36,23 @@ one ``_rational`` call per distinct Q that covers every color, and
 scatters the results back, which halves a symmetric grid such as the
 quadrature midpoints.
 
+Signs: the sign of f(k) = g(1)...g(k) is carried as the parity of its
+negative factors, one bool per prefix (a logical_xor accumulate of
+g < 0), and a term exp(log - max) takes it as its sign bit.  A vanished
+factor needs no sign of its own: its log|0| = -inf makes every later
+log -inf and every later term +-0.0, whatever the parity says.  Adding
++-0.0 to a nonzero partial sum moves no bit, adding it to a zero one
+leaves a zero, and a total that is zero reads sign 0 and log -inf
+whichever its zero's sign, so the results are those of a product of
+signs that turns 0 at the vanished factor.
+
 Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
 first such j, at most c, follows from integer arithmetic (``_live``).
-Past it every prefix product is 0, its log -inf, and its term
-exp(-inf) * 0 = +0.0.  So only the live prefix of a row is formed, and
-the row is summed over its color's full c terms, the ones past the
-formed columns +0.0: the same values at the same length, so the same
-pairwise-sum tree and the same bits as the whole row.
+Past it every prefix product is 0, its log -inf, and its term +-0.0.
+So only the live prefix of a row is formed, and the row is summed over
+its color's full c terms, the ones past the formed columns +0.0: zeros
+at the same length, so the same pairwise-sum tree and the same bits as
+the whole row.
 
 Layout: both grid routes run through one chunk driver (``_rows``) on
 2-D arrays of shape (rows, j), one row per point, sorted by length and
@@ -66,10 +76,10 @@ Within a chunk the core runs in column blocks of at most
 ``_CHUNK_FACTORS // rows + 1`` columns (``_block_width``), so every
 chunk of the grids is one block and only a lone row longer than
 ``_CHUNK_FACTORS`` (a long scan, ``jones_prefix``, a long color) takes
-several.  Each block's first log and sign take the row's carried
-prefix, the last log and sign of the block before, ahead of the cumsum
-and cumprod: the same recurrences, so the prefixes are bit for bit
-those of the whole row.
+several.  Each block's first log and parity take the row's carried
+prefix, the last log and parity of the block before, ahead of the
+cumsum and the xor accumulate: the same recurrences, so the prefixes
+are bit for bit those of the whole row.
 
 Dropped blocks: a block whose max log lies ``_DROP`` = 750 nats or more
 below the row's running max is let go as soon as it is made, and a kept
@@ -197,17 +207,20 @@ def _block_width(rows):
 
 def _buffers(shapes):
     """Flat buffers that ``_prefix_blocks`` shapes for each (rows, n) of
-    shapes: prefix signs and logs for the chunks that are one block, and
-    two block buffers, all views of one allocation, plus a list of the
-    slab slots that ``_log_prefix`` stores longer rows in.  As separate
-    arrays, freed together after each call, glibc's malloc handed them
-    back to the system and the next call faulted them in again: some 60
-    minor faults per ``jones_grid_exact`` call at N = 3000, against
-    none.  For the same reason the slots serve every row of a call."""
+    shapes: prefix parities (bool) and logs for the chunks that are one
+    block, and two block buffers, all views of one allocation, plus a
+    list of the slab slots that ``_log_prefix`` stores longer rows in.
+    A block buffer is as long as a block's prefixes, one column per row
+    more than its factors, so that the second also holds ``_reduce``'s
+    sign-bit words.  As separate arrays, freed together after each call,
+    glibc's malloc handed them back to the system and the next call
+    faulted them in again: some 60 minor faults per ``jones_grid_exact``
+    call at N = 3000, against none.  For the same reason the slots serve
+    every row of a call."""
     p = max((rows * (n + 1) for rows, n in shapes if n <= _block_width(rows)), default=0)
-    g = max((rows * min(_block_width(rows), n) for rows, n in shapes), default=0)
-    logs, gb, tb, signs = np.split(np.empty(p + 2 * g + (p + 7) // 8), np.cumsum([p, g, g]))
-    return signs.view(np.int8)[:p], logs, gb, tb, []
+    g = max((rows * (min(_block_width(rows), n) + 1) for rows, n in shapes), default=0)
+    logs, gb, tb, pars = np.split(np.empty(p + 2 * g + (p + 7) // 8), np.cumsum([p, g, g]))
+    return pars.view(np.bool_)[:p], logs, gb, tb, []
 
 
 # exp(t) is 0.0 for every float64 t below log(2^-1075) = -745.13 (half
@@ -219,50 +232,52 @@ _DROP = 750.0
 
 
 def _prefix_blocks(fill, rows, n, store, gb, tb):
-    """Row-wise signed log-prefixes (signs, log|f(k)|), k = 0..n, of the
+    """Row-wise log-prefixes (parities, log|f(k)|), k = 0..n, of the
     partial products f(k) = g(1)...g(k), f(0) = 1, of the n factors a
     row that fill(a, b, out, tmp) writes, j = a+1..b, into out, yielded
-    one column block (``_block_width``) at a time as (k, signs, logs)
-    for prefix columns k..b, in the arrays store(k, b) returns.  Factors
-    are built in gb and tb, two block buffers (``_buffers``); each
-    block's first log and sign take the row's prefix before the block,
-    so cumsum and cumprod run the same sequential recurrences as over
-    the whole row.  A vanished factor's log|0| = -inf carries through
-    the cumsum, so dead prefixes read -inf exactly where their sign
-    is 0."""
+    one column block (``_block_width``) at a time as (k, parities, logs)
+    for prefix columns k..b, in the arrays store(k, b) returns.  A
+    parity is True where f(k) has an odd number of negative factors
+    (module docstring).  Factors are built in gb and tb, two block
+    buffers (``_buffers``), and their g < 0 in a bool view of tb; each
+    block's first log and parity take the row's prefix before the
+    block, so cumsum and the xor accumulate run the same sequential
+    recurrences as over the whole row.  The carried parity is a copy,
+    so the consumer may overwrite a yielded block.  A vanished factor's
+    log|0| = -inf carries through the cumsum, so dead prefixes read
+    -inf."""
     w = _block_width(rows)
     m = min(w, n)
-    gbuf, sbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
+    gbuf, tbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
+    nbuf = tb.view(np.bool_)[:rows * m].reshape(rows, m)
     for a in range(0, max(n, 1), w):
         b = min(a + w, n)
         k = a + 1 if a else 0  # block 0 also holds f(0) = 1
-        sgn, log = store(k, b)
+        par, log = store(k, b)
         if not a:
-            sgn[:, 0], log[:, 0] = 1, 0.0
+            par[:, 0], log[:, 0] = False, 0.0
         if b > a:
-            s = sbuf[:, :b - a]
-            g = fill(a, b, gbuf[:, :b - a], s)
-            np.sign(g, out=s)
+            g = fill(a, b, gbuf[:, :b - a], tbuf[:, :b - a])
+            neg = np.less(g, 0.0, out=nbuf[:, :b - a])
             if a:
-                s[:, 0] *= carry_sgn
-            sgn[:, a + 1 - k:] = np.cumprod(s, axis=1, out=s)
+                neg[:, 0] ^= carry_par
+            np.logical_xor.accumulate(neg, axis=1, out=par[:, a + 1 - k:])
             with np.errstate(divide="ignore"):
                 np.log(np.abs(g, out=g), out=g)
             if a:
                 g[:, 0] += carry_log
             np.cumsum(g, axis=1, out=log[:, a + 1 - k:])
-        carry_sgn, carry_log = sgn[:, -1], log[:, -1]
-        yield k, sgn, log
+        carry_par, carry_log = par[:, -1].copy(), log[:, -1]
+        yield k, par, log
 
 
-def _log_prefix(fill, rows, n, bufs=None):
+def _log_prefix(fill, rows, n, bufs):
     """The blocks of ``_prefix_blocks`` that can weigh in the rows' sums,
-    as (k, signs, logs, max), and the rows' max logs.  A block is
+    as (k, parities, logs, max), and the rows' max logs.  A block is
     dropped (module docstring) once every row's max in it is ``_DROP``
     below the row's running max.  A chunk of one block, for which the
-    prefix arrays of bufs (``_buffers``, made for this call if not
-    given) hold all n + 1 columns of every row, is that block, a view of
-    them.  A longer row stores each block in a slot of a slab, from the
+    prefix arrays of bufs (``_buffers``) hold all n + 1 columns of every
+    row, is that block, a view of them.  A longer row stores each block in a slot of a slab, from the
     slots of bufs that every row of a call shares, and a dropped block
     gives its slot back.  A slab is allocated when no slot is free, with
     as many slots as there are kept blocks: a row that drops its blocks
@@ -271,13 +286,13 @@ def _log_prefix(fill, rows, n, bufs=None):
     them from 4 MiB).  A scan at N = 1e7 that keeps every block took
     21935 minor page faults with an array per block and takes 3503 with
     slabs (Linux, transparent huge pages on madvise)."""
-    sb, lb, gb, tb, slots = bufs or _buffers([(rows, n)])
+    sb, lb, gb, tb, slots = bufs
     if n <= _block_width(rows):  # one block: its max is the row's
         p = rows * (n + 1)
         store = lambda k, b: (sb[:p].reshape(rows, -1), lb[:p].reshape(rows, -1))
-        (k, sgn, log), = _prefix_blocks(fill, rows, n, store, gb, tb)
+        (k, par, log), = _prefix_blocks(fill, rows, n, store, gb, tb)
         M = log.max(axis=1)
-        return [(k, sgn, log, M)], M
+        return [(k, par, log, M)], M
     c = rows * (_block_width(rows) + 1)
     # the blocks of the rows before this one are summed and dead
     kept, held, top, free, slot = [], 1, None, slots[:], {}
@@ -287,16 +302,16 @@ def _log_prefix(fill, rows, n, bufs=None):
             free.extend(np.empty((len(kept) or 1, c + (c + 7) // 8)))
             slots.extend(free)
         row = slot[k] = free.pop()
-        return (row[c:].view(np.int8)[:rows * (b + 1 - k)].reshape(rows, -1),
+        return (row[c:].view(np.bool_)[:rows * (b + 1 - k)].reshape(rows, -1),
                 row[:rows * (b + 1 - k)].reshape(rows, -1))
 
-    for k, sgn, log in _prefix_blocks(fill, rows, n, store, gb, tb):
+    for k, par, log in _prefix_blocks(fill, rows, n, store, gb, tb):
         M = log.max(axis=1)
         top = M if top is None else np.maximum(top, M)
         if (M - top <= -_DROP).all():  # never block 0, which starts the max
             free.append(slot.pop(k))
         else:
-            kept.append((k, sgn, log, M))
+            kept.append((k, par, log, M))
         # the kept blocks are checked again once they have doubled, so
         # a row that keeps them all is not rechecked at every block
         if len(kept) > 2 * held:
@@ -344,23 +359,30 @@ def _segment_sum(segs, n):
     return tree(0, n, 0, len(segs))
 
 
-def _reduce(blocks, M, widths, zeros=None):
+def _reduce(blocks, M, widths, tb, zeros=None):
     """Row-wise (signs, log|sum_k f(k)|) of ``_log_prefix``'s kept blocks
     and row maxima M: peel each row's max, then a pairwise sum (np.sum)
     over the row's width, widths[i], the columns past the formed ones
-    being +0.0.  Overwrites the blocks: the subtraction of the max, the
-    exp and the sign product run in place.  f(0) = 1 keeps every max
-    finite, and exp(-inf) * 0 is +0.0 exactly where a factor vanished,
-    so no row needs masking.  A lone row takes ``_segment_sum``.  Rows
-    of a chunk, always one block, take one np.sum over the block when
-    every width is the block's; otherwise each row is copied into the
-    head of ``zeros``, a buffer as long as the longest width and zero
-    past the block's, and summed over exactly its width, so each keeps
-    the pairwise-sum tree of a lone row."""
-    for _, sgn, f, _ in blocks:
+    being +0.0.  Overwrites the blocks: the subtraction of the max and
+    the exp run in place, and each term takes its parity as its sign
+    bit, OR-ed in from words built in tb, the second block buffer of
+    ``_buffers``.  f(0) = 1 keeps every max finite, and past a vanished
+    factor a term is exp(-inf) = +0.0 with the parity's sign, +-0.0, so
+    no row needs masking (module docstring).  A lone row takes
+    ``_segment_sum``.  Rows of a chunk, always one block, take one
+    np.sum over the block when every width is the block's; otherwise
+    each row is copied into the head of ``zeros``, a buffer as long as
+    the longest width and zero past the block's, and summed over exactly
+    its width, so each keeps the pairwise-sum tree of a lone row."""
+    for _, par, f, _ in blocks:
         np.subtract(f, M[:, None], out=f)
         np.exp(f, out=f)
-        f *= sgn
+        # every term is >= +0.0 here, so OR-ing parity << 63 into its
+        # bits gives it the sign of f(k); a +-0.0 past a vanished factor
+        # moves no bit of a nonzero sum, and a zero sum reads sign 0
+        bits = np.left_shift(par, np.uint64(63), out=tb.view(np.uint64)[:f.size].reshape(f.shape))
+        u = f.view(np.uint64)
+        u |= bits
     if len(M) == 1:
         s = np.array([_segment_sum([(k, f[0]) for k, _, f, _ in blocks], int(widths[0]))])
     else:
@@ -407,26 +429,34 @@ def _rows(lengths, widths, fill):
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i, (rows, n) in zip(chunks, shapes):
-        sgn[i], log[i] = _reduce(*_log_prefix(partial(fill, i), rows, n, bufs), widths[i], zeros)
+        blocks, M = _log_prefix(partial(fill, i), rows, n, bufs)
+        sgn[i], log[i] = _reduce(blocks, M, widths[i], bufs[3], zeros)
     return sgn, log
 
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
     fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
-    (s,), (l,) = _reduce(*_log_prefix(fill, 1, N - 1), np.array([N]))
+    bufs = _buffers([(1, N - 1)])
+    (s,), (l,) = _reduce(*_log_prefix(fill, 1, N - 1, bufs), np.array([N]), bufs[3])
     return int(s), l
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix arrays (signs, log|f(k)|) of the partial products, k < N."""
+    """Prefix arrays (signs, log|f(k)|) of the partial products, k < N,
+    the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
-    # every block is written into the result arrays; none is dropped
-    store = lambda k, b: (sgnf[None, k:b + 1], logf[None, k:b + 1])
+    # every block is written into the result arrays; none is dropped.
+    # Each block's parities become signs in place as it is formed, so
+    # no temporary grows with N
+    store = lambda k, b: (sgnf.view(np.bool_)[None, k:b + 1], logf[None, k:b + 1])
     fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
     gb, tb = np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)
-    for _ in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
-        pass
+    for k, _, log in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
+        s = sgnf[k:k + log.shape[1]]
+        s *= -2
+        s += 1
+        s *= log[0] > -np.inf  # 0 where a factor vanished
     return sgnf, logf
 
 

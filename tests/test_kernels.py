@@ -117,24 +117,30 @@ class TestColumnBlocks:
 
     def test_blocked_core_matches_unblocked_formula(self):
         # rows on both sides of one block (C + 1 factors), two, and many;
-        # the carried log and sign make the blocked prefixes and sums
-        # equal, bit for bit, to the whole-row recurrences
+        # the carried log and sign parity make the blocked prefixes and
+        # sums equal, bit for bit, to the whole-row recurrences.  At
+        # N = 40000, x = 2^-16 the first vanishing factor, j = 25536,
+        # lies in the second block: a parity carried across a block
+        # edge meets an exact zero, and the signs must turn 0 there
         C = _kernels._CHUNK_FACTORS
-        for N in (C - 1, C, C + 1, C + 2, C + 3, 3 * C + 5, 10**6):
-            for x in (1.05 / N, 0.3, 1 / 3, 0.5):
-                sgnf, logf, (s, l) = self.unblocked(N, x)
-                ks, kl = _kernels.jones_scan(N, x)
-                assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, x)
-                ps, pl = _kernels.jones_prefix(N, x)
-                assert ps.dtype == np.int8 and pl.dtype == np.float64
-                assert ps.tobytes() == sgnf.tobytes(), (N, x)
-                assert pl.tobytes() == logf.tobytes(), (N, x)
-                if x == 0.5:
-                    # dead at j <= 2 in the first block, and in every
-                    # later block too: J = 1 (odd N) or 1 + 4 (even N)
-                    assert (ps[C:] == 0).all() and (pl[C:] == -np.inf).all()
-                    assert ks == 1
-                    assert abs(kl - (0.0 if N % 2 else math.log(5.0))) < 1e-15
+        cases = [(N, x) for N in (C - 1, C, C + 1, C + 2, C + 3, 3 * C + 5, 10**6)
+                 for x in (1.05 / N, 0.3, 1 / 3, 0.5)]
+        for N, x in cases + [(40000, 2.0**-16)]:
+            sgnf, logf, (s, l) = self.unblocked(N, x)
+            ks, kl = _kernels.jones_scan(N, x)
+            assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, x)
+            ps, pl = _kernels.jones_prefix(N, x)
+            assert ps.dtype == np.int8 and pl.dtype == np.float64
+            assert ps.tobytes() == sgnf.tobytes(), (N, x)
+            assert pl.tobytes() == logf.tobytes(), (N, x)
+            if x == 0.5:
+                # dead at j <= 2 in the first block, and in every
+                # later block too: J = 1 (odd N) or 1 + 4 (even N)
+                assert (ps[C:] == 0).all() and (pl[C:] == -np.inf).all()
+                assert ks == 1
+                assert abs(kl - (0.0 if N % 2 else math.log(5.0))) < 1e-15
+            if N == 40000:
+                assert ps[25535] != 0 and (ps[25536:] == 0).all()
 
     def test_windowed_scan_matches_unblocked_formula(self):
         # rows of several blocks that drop the ones far below their
@@ -147,7 +153,7 @@ class TestColumnBlocks:
                 x = r / N
                 _, _, (s, l) = self.unblocked(N, x)
                 fill = _kernels._factors(np.array([N]), np.array([x]))
-                blocks, _ = _kernels._log_prefix(fill, 1, N - 1)
+                blocks, _ = _kernels._log_prefix(fill, 1, N - 1, _kernels._buffers([(1, N - 1)]))
                 assert len(blocks) < -(-(N - 1) // (C + 1)), (N, r)
                 ks, kl = _kernels.jones_scan(N, x)
                 assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, r)
@@ -194,7 +200,9 @@ class TestColumnBlocks:
         # a long scan keeps only the blocks near its running max, so its
         # peak is a few blocks at N = 1e6 and 4e6 alike; jones_prefix
         # returns the full log (float64) and sign (int8) prefixes, 9
-        # bytes per factor, and a few block-sized buffers
+        # bytes per factor, and a few block-sized buffers, at both N: a
+        # temporary that grows with N (say, in turning the sign parities
+        # into int8 signs) breaks the bound at 4e6
         import tracemalloc
 
         def peak(f, N):
@@ -207,8 +215,7 @@ class TestColumnBlocks:
 
         for N in (10**6, 4 * 10**6):
             assert peak(_kernels.jones_scan, N) < 16 * 8 * _kernels._CHUNK_FACTORS, N
-        N = 10**6
-        assert peak(_kernels.jones_prefix, N) < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS
+            assert peak(_kernels.jones_prefix, N) < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS, N
 
 
 class TestGrids:
@@ -354,7 +361,8 @@ class TestGrids:
                 out[:] = g[a:b]
                 return out
 
-            s, l = _kernels._reduce(*_kernels._log_prefix(fill, 1, c - 1), np.array([c]))
+            bufs = _kernels._buffers([(1, c - 1)])
+            s, l = _kernels._reduce(*_kernels._log_prefix(fill, 1, c - 1, bufs), np.array([c]), bufs[3])
             return int(s[0]), l[0], bool((q == qc).any())
 
         def dead_rows(cs, r, N):
