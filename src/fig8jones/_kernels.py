@@ -6,35 +6,48 @@ reduces those to (sign, log|J_c|) by peeling each row's max before a
 pairwise sum.
 
 Phase convention: at t = exp(2 pi i x) the j-th factor is
-g(j) = 2 cos(2 pi x c) - 2 cos(2 pi x j).  Phases are folded into
-[0, 1/2] (cos is even around a full turn), which keeps large-argument
-cosine accuracy.  They reach the cosines by one of two routes:
+g(j) = 2 cos(2 pi x c) - 2 cos(2 pi x j).  J depends on x only through
+cos(2 pi x m) for integers m, so x is first folded exactly into
+[0, 1/2] (``_fold_x``), and a float pair x, 1 - x gets bit-identical
+values on every route.  Phases reach the cosines by one of two routes,
+chosen by the point (c, x) alone, so a scan, ``jones_prefix`` and a
+grid take the same one:
 
-* Float phases (``_factors``): x*j in floating point, one cosine per
-  factor.  The scans, ``jones_prefix`` and the non-dyadic points of
-  ``jones_grid`` take this route; it is the reference the grid tests
-  compare against.
 * Rational phases (``_rational``): x = k/Q with integer folded
   numerators q_j = min(k j mod Q, Q - k j mod Q) and factors
   2 cos(2 pi q_c/Q) - 2 cos(2 pi q_j/Q).  ``jones_grid_exact`` uses
   Q = N for x = r/N, so factors that vanish mathematically are exactly
   zero (a float phase misses them by an ulp and rebuilds noise past the
-  dead factor).  A ``jones_grid`` point with dyadic x in [0, 1), x*2^e
-  an integer with e + bit_length(c) <= 53, uses its own power-of-two
+  dead factor).  A point with dyadic x, x*2^e an integer with
+  e + bit_length(c) <= 53 (``_dyadic``), uses its own power-of-two
   denominator Q: every x*j, j <= c, is then exact, and since dividing
   by a power of two is exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)),
-  so this route reproduces the float route's factors bit for bit.
-  There is one cosine rule: a table tab[q] = 2 cos(2 pi q/Q),
-  q <= Q/2, when its Q/2 + 1 entries are no more than the cosines the
-  rows would take directly, else the cosines themselves (``_twocos``),
-  the same expression on the same q, so the same bits either way.
+  the cosine of the exact phase rounded once.  There is one cosine
+  rule: a table tab[q] = 2 cos(2 pi q/Q), q <= Q/2, when its Q/2 + 1
+  entries are no more than the cosines the rows would take directly
+  and no more than a block or one per color, else the cosines
+  themselves (``_twocos``), the same expression on the same q, so the
+  same bits either way.
+* Float phases (``_factors``), every other point: x = xh + xl split
+  into halves of 26 bits (``_split``), so xh*n and xl*n are exact for
+  n < 2^26 and x*n less its nearest integer costs one rounding
+  (``_turns``).  With j = _T s + i, _T = 128, the cosine comes by angle
+  addition, 2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s, from small
+  tables C2[i], S2[i] = 2 cos, 2 sin (2 pi x i), i < _T, and the angles
+  A_s = 2 pi x _T s of a block's segments: two products and a
+  difference per factor where a cosine was.  The split of j depends on
+  j alone, so blocks and chunks see the same values.  A factor under
+  ``_TAU`` = 2^-16 in magnitude, near one of its roots where a cosine
+  difference keeps few digits, is recomputed as
+  -4 sin(pi x (c + j)) sin(pi x (c - j)) on phases reduced the same
+  way (``_sin_pi``).  Every c + j must stay below 2^26, so this route
+  takes colors up to ``_MAX_FLOAT_COLOR`` = 2^25 and raises DomainError
+  past it.
 
-The x <-> 1-x fold: for a dyadic x, 1 - x and every (1 - x) j are exact
-too, so x and 1 - x have bit-identical folded phases and values.
-``jones_grid`` evaluates each distinct (color, min(x, 1 - x)) once, in
-one ``_rational`` call per distinct Q that covers every color, and
-scatters the results back, which halves a symmetric grid such as the
-quadrature midpoints.
+The x <-> 1-x fold: ``jones_grid`` evaluates each distinct
+(color, folded x) of its dyadic points once, in one ``_rational`` call
+per distinct Q that covers every color, and scatters the results back,
+which halves a symmetric grid such as the quadrature midpoints.
 
 Signs: the sign of f(k) = g(1)...g(k) is carried as the parity of its
 negative factors, one bool per prefix (a logical_xor accumulate of
@@ -63,14 +76,15 @@ once per call: chunk-sized buffers freed and allocated again chunk by
 chunk sit at the allocator's mmap threshold and fault their pages in
 again.  A chunk is as wide as its longest row.  A shorter row runs
 past its own first vanishing factor, an exact 0.0 (on the float route
-g(c), two cosines of the same float x*c), so its extra columns are
-dead and its prefix and max are those of the lone row.  ``_reduce``
-sums each row over its own width c: one np.sum over the block when
-every width is the block's, else one sum per row, and a row alone in
-its chunk by ``_segment_sum`` (below).  The scans and ``jones_prefix``
-are the one-row case.  cumsum/cumprod along a row are
-sequential recurrences and a sum over a contiguous row of c terms is
-the same pairwise sum, so the grids match the scans bit for bit.
+g(c), the same products of the same table entries and angles as the
+row's g(c)), so its extra columns are dead and its prefix and max are
+those of the lone row.  ``_reduce`` sums each row over its own width
+c: one np.sum over the block when every width is the block's, else one
+sum per row, and a row alone in its chunk by ``_segment_sum`` (below).
+The scans and ``jones_prefix`` are the one-row case.  cumsum/cumprod
+along a row are sequential recurrences and a sum over a contiguous row
+of c terms is the same pairwise sum, so the grids match the scans bit
+for bit.
 
 Within a chunk the core runs in column blocks of at most
 ``_CHUNK_FACTORS // rows + 1`` columns (``_block_width``), so every
@@ -99,9 +113,10 @@ result arrays and keeps none.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import partial
 
 import numpy as np
+
+from .errors import DomainError
 
 # Factors per chunk of the grids, and per column block of a long row:
 # 128 KiB per float64 array, so the few arrays a chunk keeps alive fit
@@ -109,43 +124,143 @@ import numpy as np
 # 2-core Xeon with 2 MiB of L2 per core.
 _CHUNK_FACTORS = 1 << 14
 
+# The float route (``_factors``): columns per segment of the angle
+# addition, the magnitude under which a factor is recomputed as a sine
+# product, Dekker's splitter for float64, and the largest color, for
+# which every phase x (c + j) has c + j < 2^26
+_T = 128
+_TAU = 2.0 ** -16
+_SPLIT = 2.0 ** 27 + 1.0
+_MAX_FLOAT_COLOR = 1 << 25
+
 
 def current_backend() -> str:
     """Name of the kernel implementation, as recorded in benchmark runs."""
     return "numpy"
 
 
-def _factors(cs, xs):
-    """Float-phase factors at t = exp(2 pi i x) for the paired colors c
-    of cs and positions x of xs, phases folded into [0, 1/2], as a
-    ``fill`` for ``_prefix_blocks``: fill(a, b, out, tmp) writes the rows'
-    g(j), j = a+1..b, into out and returns it, using tmp (out's shape)
-    as scratch.  A row of a shorter color is padded with dead factors:
-    its g(c) takes the same float x*c and cosine on both sides, so it is
-    exactly 0.0."""
-    uN = xs * cs
-    uN -= np.floor(uN)
-    gN = 2.0 * np.cos(2.0 * np.pi * np.minimum(uN, 1.0 - uN))
+def _fold_x(xs):
+    """x -> min(f, 1 - f), f = |x| mod 1, exactly: the fractional part of
+    a float is a float, and 1 - f is exact for f in [1/2, 1] (Sterbenz).
+    J depends on x only through cos(2 pi x m) for integers m."""
+    f = np.abs(xs)
+    f -= np.floor(f)
+    return np.minimum(f, 1.0 - f, out=f)
 
-    def fill(a, b, u, t):
-        np.multiply.outer(xs, np.arange(a + 1, b + 1, dtype=np.float64), out=u)
-        np.floor(u, out=t)
-        u -= t
-        np.subtract(1.0, u, out=t)
-        np.minimum(u, t, out=u)
-        u *= 2.0 * np.pi
-        np.cos(u, out=u)
-        u *= 2.0
-        return np.subtract(gN[:, None], u, out=u)
+
+def _split(x):
+    """Dekker's split x = xh + xl, both halves of at most 26 bits, so
+    xh*n and xl*n are exact for every integer n < 2^26."""
+    t = _SPLIT * x
+    xh = t - (t - x)
+    return xh, x - xh
+
+
+def _turns(xh, xl, n):
+    """x*n less its nearest integer, in [-1/2, 1/2], for x = xh + xl
+    (``_split``) and integer-valued n < 2^26: xh*n, its distance to the
+    nearest integer and the last reduction are exact, and adding xl*n
+    rounds once, so the result is off by at most 2^-53 of a turn."""
+    p = xh * n
+    p -= np.rint(p)
+    p += xl * n
+    p -= np.rint(p)
+    return p
+
+
+def _angle(d):
+    """cos and sin of 2 pi d."""
+    a = d * (2.0 * np.pi)
+    return np.cos(a), np.sin(a)
+
+
+def _sin_pi(xh, xl, m):
+    """sin(pi x m) for x = xh + xl (``_split``) and integer-valued
+    |m| < 2^26: x m less an integer n, reduced as in ``_turns``, then
+    (-1)^n sin(pi (x m - n))."""
+    p = xh * m
+    n = np.rint(p)
+    p -= n
+    p += xl * m
+    p *= np.pi
+    np.sin(p, out=p)
+    p *= 1.0 - 2.0 * (n % 2.0)
+    return p
+
+
+def _factors(cs, xs):
+    """Float-route factors at t = exp(2 pi i x) for the paired colors c
+    of cs and positions x of xs, as a ``fill`` for ``_prefix_blocks``:
+    fill(a, b, out, tmp) writes the rows' g(j), j = a+1..b, into out
+    and returns it, using tmp (out's shape) as scratch.
+
+    x is folded exactly (``_fold_x``) and split (``_split``), and
+    j = _T s + i: 2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s, from
+    tables C2[i] = 2 cos(2 pi x i), S2[i] = 2 sin(2 pi x i), i < _T, and
+    the angles A_s = 2 pi x _T s of each block's segments, every phase
+    reduced by ``_turns``.  The rows share one table when they share
+    their x (a cable profile), else each has its own; tables are tiled
+    along j, so a block's columns take one contiguous slice of them.
+    g(c) takes the same formula at j = c, so a shorter row's g(c) is
+    exactly 0.0.  A factor under ``_TAU`` in magnitude is recomputed as
+    -4 sin(pi x (c + j)) sin(pi x (c - j)) (``_sin_pi``).  Every
+    c + j must stay below 2^26, so colors above ``_MAX_FLOAT_COLOR``
+    raise DomainError."""
+    cmax = int(cs.max(initial=1))
+    if cmax > _MAX_FLOAT_COLOR:
+        raise DomainError(f"color {cmax} at a non-dyadic x is past the float route's "
+                          f"exact phases", interval=f"N <= {_MAX_FLOAT_COLOR}")
+    rows = len(cs)
+    xs = _fold_x(xs)
+    xh, xl = _split(xs)
+    u = slice(0, 1) if (xs == xs[0]).all() else slice(None)
+    t = min(_T, cmax + 1)
+    cos, sin = _angle(_turns(xh[u, None], xl[u, None], np.arange(float(t))))
+    # columns i..i+w-1 of the tiled tables, i < t, for the widest block
+    reps = -(-(t - 1 + min(cmax - 1, _block_width(rows))) // t)
+    c2, s2 = np.tile(2.0 * cos, (1, reps)), np.tile(2.0 * sin, (1, reps))
+    ca, sa = _angle(_turns(xh, xl, (cs // _T * _T).astype(np.float64)))
+    r = np.arange(rows) % len(c2)
+    gc = c2[r, cs % _T] * ca - s2[r, cs % _T] * sa
+
+    def fill(a, b, out, tmp):
+        s0 = (a + 1) // _T
+        ca, sa = _angle(_turns(xh[:, None], xl[:, None], np.arange(s0, b // _T + 1) * float(_T)))
+        # cos A_s and sin A_s over their segments' columns, in runs of
+        # whole segments or of one partial one, each a (rows, segments,
+        # columns) view of out and tmp
+        j = a + 1
+        while j <= b:
+            s, i = divmod(j, _T)
+            k, w = (1, min(_T - i, b + 1 - j)) if i or b + 1 - j < _T else ((b + 1 - j) // _T, _T)
+            o = j - a - 1
+            np.copyto(out[:, o:o + k * w].reshape(rows, k, w), ca[:, s - s0:s - s0 + k, None])
+            np.copyto(tmp[:, o:o + k * w].reshape(rows, k, w), sa[:, s - s0:s - s0 + k, None])
+            j += k * w
+        i = (a + 1) % _T
+        out *= c2[:, i:i + b - a]
+        tmp *= s2[:, i:i + b - a]
+        np.subtract(out, tmp, out=out)
+        g = np.subtract(gc[:, None], out, out=out)
+        hit = np.flatnonzero(np.abs(g, out=tmp) < _TAU)
+        if hit.size:
+            r, col = np.divmod(hit, g.shape[1])
+            h, l, c, j = xh[r], xl[r], cs[r], col + (a + 1.0)
+            g[r, col] = -4.0 * _sin_pi(h, l, c + j) * _sin_pi(h, l, c - j)
+        return g
 
     return fill
 
 
-def _twocos(q, Q):
-    """2 cos(2 pi q/Q) for integer phases q.  For Q a power of two,
-    fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)), so these equal the float
-    path's values at x = q/Q bit for bit."""
-    return 2.0 * np.cos(2.0 * np.pi * q / Q)
+def _twocos(q, Q, out=None):
+    """2 cos(2 pi q/Q) for integer phases q, into out if given.  For Q a
+    power of two, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)): the cosine of
+    the exact phase x j at x = k/Q, rounded once."""
+    t = np.multiply(q, 2.0 * np.pi, out=out)
+    t /= Q
+    np.cos(t, out=t)
+    t *= 2.0
+    return t
 
 
 def _fold(q, Q, tmp=None):
@@ -169,31 +284,50 @@ def _live(c, k, Q):
     return np.minimum((c - 1) % d, (-c - 1) % d) + 1
 
 
-def _rational(c, k, Q):
-    """Row-wise (signs, log|J|) of the colors of array c at x = k/Q on
-    rational phases, k an int or an array of c's shape.  Factors are
-    formed only up to each row's live prefix, and rows sum over their
-    color's width (see the module docstring)."""
+def _rational_rows(c, k, Q):
+    """Live lengths (``_live``) of the colors of array c at x = k/Q on
+    rational phases, k an int or an array of c's shape, and the
+    ``_prefix_blocks`` fill of the rows of an index array i, by
+    rows(i)(a, b, out, tmp)."""
     live = _live(c, k, Q)
     # a table when it costs no more cosines than the rows would take
-    # directly, one per live factor and one per row for g(c)
-    if Q // 2 + 1 <= int(live.sum()):
+    # directly, one per live factor and one per row for g(c), and holds
+    # no more than a block or one entry per color, so a long lone row
+    # keeps O(block) memory
+    if Q // 2 + 1 <= min(int(live.sum()), max(_block_width(1), len(c))):
         tab = _twocos(np.arange(Q // 2 + 1), Q)
-        cos = lambda q, out=None: tab.take(q, out=out, mode="clip")
+        cos = lambda q, out: tab.take(q, out=out, mode="clip")
     else:
-        cos = lambda q, out=None: _twocos(q, Q)
-    gc = cos(_fold(c * k, Q))
+        cos = lambda q, out: _twocos(q, Q, out)
+    gc = cos(_fold(c * k, Q), None)
     if np.ndim(k) == 0:
-        # one row of cosines 2cos(2 pi q_j/Q) serves every color
-        row = cos(_fold(k * np.arange(1, int(live.max(initial=1)), dtype=np.int64), Q))
+        # one row of cosines 2cos(2 pi q_j/Q) serves every chunk of
+        # several rows, which is at most a block wide, and the first
+        # block of a lone row; later blocks take their own phases
+        head = cos(_fold(k * np.arange(1, min(int(live.max(initial=1)), _block_width(1) + 1),
+                                       dtype=np.int64), Q), None)
 
-    def fill(i, a, b, out, tmp):
-        if np.ndim(k) == 0:
-            return np.subtract(gc[i, None], row[a:b], out=out)
-        q = np.multiply.outer(k[i], np.arange(a + 1, b + 1, dtype=np.int64), out=tmp.view(np.int64))
-        return np.subtract(gc[i, None], cos(_fold(q, Q, out.view(np.int64)), out), out=out)
+    def rows(i):
+        gi, ki = gc[i, None], k if np.ndim(k) == 0 else k[i, None]
 
-    return _rows(live - 1, c, fill)
+        def fill(a, b, out, tmp):
+            if np.ndim(k) == 0 and b <= len(head):
+                return np.subtract(gi, head[a:b], out=out)
+            q = np.multiply(ki, np.arange(a + 1, b + 1, dtype=np.int64), out=tmp.view(np.int64))
+            return np.subtract(gi, cos(_fold(q, Q, out.view(np.int64)), out), out=out)
+
+        return fill
+
+    return live, rows
+
+
+def _rational(c, k, Q):
+    """Row-wise (signs, log|J|) of the colors of array c at x = k/Q on
+    rational phases (``_rational_rows``).  Factors are formed only up to
+    each row's live prefix, and rows sum over their color's width (see
+    the module docstring)."""
+    live, rows = _rational_rows(c, k, Q)
+    return _rows(live - 1, c, rows)
 
 
 def _block_width(rows):
@@ -413,11 +547,12 @@ def _chunks(lengths):
         a = b
 
 
-def _rows(lengths, widths, fill):
+def _rows(lengths, widths, rows_fill):
     """Row-wise (signs, log|J|) of rows of lengths[i] factors, row i
-    summed over widths[i] terms, where fill(i, a, b, out, tmp) is the
-    ``_prefix_blocks`` fill of the rows of index array i.  Sorted by length,
-    the rows share ``_chunks``, whose buffers are allocated once."""
+    summed over widths[i] terms, where rows_fill(i) is the
+    ``_prefix_blocks`` fill of the rows of index array i.  Sorted by
+    length, the rows share ``_chunks``, whose buffers are allocated
+    once."""
     order = np.argsort(lengths, kind="stable")
     chunks = [order[sl] for sl in _chunks(lengths[order].tolist())]
     shapes = [(len(i), int(lengths[i[-1]])) for i in chunks]
@@ -429,28 +564,54 @@ def _rows(lengths, widths, fill):
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i, (rows, n) in zip(chunks, shapes):
-        blocks, M = _log_prefix(partial(fill, i), rows, n, bufs)
+        blocks, M = _log_prefix(rows_fill(i), rows, n, bufs)
         sgn[i], log[i] = _reduce(blocks, M, widths[i], bufs[3], zeros)
     return sgn, log
 
 
+def _dyadic(Ns, xs):
+    """Which folded positions x make every x*j, j <= N, exact: x = y/2^e
+    with integer y and e + bit_length(N) <= 53."""
+    y = np.ldexp(xs, 53 - np.frexp(Ns)[1])
+    return y == np.floor(y)
+
+
+def _ratio(xs):
+    """x = k/Q in lowest terms, Q a power of two, for dyadic x in
+    [0, 1) (``_dyadic``); 0 is 0/1."""
+    y = np.ldexp(xs, 52).astype(np.int64)
+    low = np.where(y == 0, 1 << 52, y & -y)
+    return y // low, (1 << 52) // low
+
+
+def _lone(N, x):
+    """The live length and ``_prefix_blocks`` fill of the lone row of
+    color N at x, on the route ``jones_grid`` takes for the point."""
+    c, xs = np.array([N]), _fold_x(np.array([x], dtype=np.float64))
+    if _dyadic(c, xs)[0]:
+        (k,), (Q,) = _ratio(xs)
+        live, rows = _rational_rows(c, int(k), int(Q))
+        return int(live[0]), rows(np.array([0]))
+    return N, _factors(c, xs)
+
+
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
-    bufs = _buffers([(1, N - 1)])
-    (s,), (l,) = _reduce(*_log_prefix(fill, 1, N - 1, bufs), np.array([N]), bufs[3])
+    live, fill = _lone(N, x)
+    bufs = _buffers([(1, live - 1)])
+    (s,), (l,) = _reduce(*_log_prefix(fill, 1, live - 1, bufs), np.array([N]), bufs[3])
     return int(s), l
 
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N,
     the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
+    _, fill = _lone(N, x)
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
     # every block is written into the result arrays; none is dropped.
     # Each block's parities become signs in place as it is formed, so
     # no temporary grows with N
     store = lambda k, b: (sgnf.view(np.bool_)[None, k:b + 1], logf[None, k:b + 1])
-    fill = _factors(np.array([N]), np.array([x], dtype=np.float64))
     gb, tb = np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)
     for k, _, log in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
         s = sgnf[k:k + log.shape[1]]
@@ -460,40 +621,39 @@ def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     return sgnf, logf
 
 
-# The grids call the private helpers, never jones_scan, so a wrapper put
-# around a public kernel (perfbench/tracing.py) sees each point once.
+# The grids and the scans share the private helpers, and no public
+# kernel calls another, so a wrapper put around one
+# (perfbench/tracing.py) sees each point once.
 def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation over paired arrays of colors and positions.  A
-    color below 1 has no factor, as color 1."""
+    color below 1 has no factor, as color 1.  Each point takes its route
+    (module docstring): the dyadic ones rational phases, the rest the
+    float route."""
     Ns = np.maximum(np.asarray(Ns, dtype=np.int64), 1)
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = _fold_x(np.asarray(xs, dtype=np.float64))
     sgn = np.empty(len(xs), dtype=np.int8)
     log = np.empty(len(xs), dtype=np.float64)
-    # x = y / 2^e with integer y and e + bit_length(N) <= 53 makes every
-    # x*j, j <= N, exact, also at 1 - x
-    y = np.ldexp(xs, 53 - np.frexp(Ns)[1])
-    exact = (xs >= 0.0) & (xs < 1.0) & (y == np.floor(y))
+    exact = _dyadic(Ns, xs)
     dyadic = np.flatnonzero(exact)
-    # one exact key N + min(x, 1 - x) per distinct (color, folded x).
-    # Without return_inverse, np.unique first imports numpy.ma, some
-    # 25 ms of a short CLI run
-    x = xs[dyadic]
-    keys, inv = np.unique(Ns[dyadic] + np.minimum(x, 1.0 - x), return_inverse=True)
-    c = keys.astype(np.int64)
-    # x = y / 2^52 = k/Q in lowest terms, Q = 2^52 / lowbit(y); 0 is 0/1
-    y = np.ldexp(keys - c, 52).astype(np.int64)
-    low = np.where(y == 0, 1 << 52, y & -y)
-    us = np.empty(len(keys), dtype=np.int8)
-    ul = np.empty(len(keys), dtype=np.float64)
-    Qs, by_Q = np.unique((1 << 52) // low, return_inverse=True)
-    for g, Q in enumerate(Qs.tolist()):
-        i = np.flatnonzero(by_Q == g)
-        us[i], ul[i] = _rational(c[i], y[i] // low[i], Q)
-    sgn[dyadic], log[dyadic] = us[inv], ul[inv]
-    # the rest, of every color, in one float-phase pass
+    if len(dyadic):
+        # one exact key N + x per distinct (color, folded x).  Without
+        # return_inverse, np.unique first imports numpy.ma, some 25 ms of
+        # a short CLI run
+        keys, inv = np.unique(Ns[dyadic] + xs[dyadic], return_inverse=True)
+        c = keys.astype(np.int64)
+        k, Q = _ratio(keys - c)
+        us = np.empty(len(keys), dtype=np.int8)
+        ul = np.empty(len(keys), dtype=np.float64)
+        Qs, by_Q = np.unique(Q, return_inverse=True)
+        for g, q in enumerate(Qs.tolist()):
+            i = np.flatnonzero(by_Q == g)
+            us[i], ul[i] = _rational(c[i], k[i], q)
+        sgn[dyadic], log[dyadic] = us[inv], ul[inv]
+    # the rest, of every color, in one float-route pass
     rest = np.flatnonzero(~exact)
-    cs, xr = Ns[rest], xs[rest]
-    sgn[rest], log[rest] = _rows(cs - 1, cs, lambda i, *block: _factors(cs[i], xr[i])(*block))
+    if len(rest):
+        cs, xr = Ns[rest], xs[rest]
+        sgn[rest], log[rest] = _rows(cs - 1, cs, lambda i: _factors(cs[i], xr[i]))
     return sgn, log
 
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fig8jones import _kernels
 
@@ -15,9 +16,14 @@ class TestScanAgreement:
     # dominated-peak points only: alternating-cancellation positions
     # (r in (1/6, 1/2) at N >= 4000) sit at the noise floor, where the
     # two summation orders legitimately differ in the cancelled digits;
-    # (5, 0.5) exercises the exact-zero truncation
+    # (5, 0.5) exercises the exact-zero truncation.  The last three have
+    # a factor g(j) near a root, where 2cos - 2cos keeps few correct
+    # digits (as a cosine difference, log|J| missed by 3e-4 at (81, 0.99)
+    # and by 2 at (90, 0.99), and the sign at (194, 0.995)), though
+    # max_k |f(k)| <= e^4 |J| at all three
     CASES = [(2, 0.5), (3, 1 / 3), (5, 0.5), (7, 0.123), (100, 0.37),
-             (501, 0.95 / 501), (1000, 1.0 / 1000), (4096, 0.95 / 4096)]
+             (501, 0.95 / 501), (1000, 1.0 / 1000), (4096, 0.95 / 4096),
+             (81, 0.99), (90, 0.99), (194, 0.995)]
 
     def test_against_mpmath_oracle(self):
         # 40-digit sum_k prod_{j<=k} (2cos 2 pi xN - 2cos 2 pi xj); log|J|
@@ -55,6 +61,90 @@ class TestScanAgreement:
                        lambda j: r * (c - j) % N == 0 or r * (c + j) % N == 0)
             (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), r, N)
             check((s, l), z)
+
+    def test_kashaev_point_matches_asymptotic_expansion(self):
+        # J_N at x = 1/N: log|J_N| = N Vol/(2 pi) + (3/2) log N
+        # - (1/4) log 3 + 11 pi/(36 sqrt(3) N) + O(1/N^2).  Its sum does
+        # not cancel, so only the factors' own errors show: as cosine
+        # differences of rounded phases x*j the scan missed by 4e-7 at
+        # N = 1e6
+        from fig8jones.special_functions import fig8_volume
+
+        for N in (10**4, 10**5, 10**6):
+            want = (N * fig8_volume() / (2 * math.pi) + 1.5 * math.log(N)
+                    - 0.25 * math.log(3) + 11 * math.pi / (36 * math.sqrt(3) * N))
+            s, l = _kernels.jones_scan(N, 1.0 / N)
+            assert s == 1 and abs(l - want) < 1e-7, (N, l - want)
+
+    def test_near_root_factors_take_the_sine_product(self, monkeypatch):
+        # every factor with |g| < _TAU as a cosine difference, and only
+        # those, is recomputed as a sine product: near j = 0 and in later
+        # blocks ((40000, 2.5/40000) has a root at j = 24000, in the
+        # second block).  Raised past every |g| <= 4, the threshold sends
+        # every factor to the sine product, in every block, and away from
+        # roots the two forms agree to rounding
+        refined = []
+        sin_pi, tau = _kernels._sin_pi, _kernels._TAU
+
+        def spy(xh, xl, m):
+            refined.append(m.copy())
+            return sin_pi(xh, xl, m)
+
+        monkeypatch.setattr(_kernels, "_sin_pi", spy)
+        cases = [(194, 0.995), (501, 0.95 / 501), (40000, 1.0 / 40000), (40000, 2.5 / 40000)]
+        want, hits = [], 0
+        for N, x in cases:
+            refined.clear()
+            want.append(_kernels.jones_scan(N, x))
+            # _sin_pi gets c + j, then c - j, per refined batch
+            got = set((np.concatenate(refined[0::2] or [[]]) - N).astype(int).tolist())
+            # the kernel's cosine differences, block by block as a scan
+            # forms them, under a threshold that refines none of them
+            monkeypatch.setattr(_kernels, "_TAU", 0.0)
+            fill, w = _kernels._factors(np.array([N]), np.array([x])), _kernels._block_width(1)
+            g = np.concatenate([fill(a, min(a + w, N - 1), *np.empty((2, 1, min(w, N - 1 - a))))[0]
+                                for a in range(0, N - 1, w)])
+            monkeypatch.setattr(_kernels, "_TAU", tau)
+            near = set((np.flatnonzero(np.abs(g) < tau) + 1).tolist())
+            assert got == near, (N, x, sorted(got ^ near)[:5])
+            hits += len(near)
+        assert hits > 0 and max(got) > w
+        monkeypatch.setattr(_kernels, "_TAU", 8.0)
+        for (N, x), (s, l) in zip(cases, want):
+            refined.clear()
+            got = _kernels.jones_scan(N, x)
+            assert sum(len(m) for m in refined[0::2]) == N - 1, (N, x)
+            assert got[0] == s, (N, x)
+            assert abs(got[1] - l) <= 1e-11 * max(1.0, abs(l)), (N, x)
+
+    def test_float_route_phases_are_exact_up_to_its_color_limit(self):
+        # x*n less its nearest integer, for n up to 2^26 - 1, the largest
+        # c + j of the largest float-route color: one rounding off the
+        # exact value of the binary x.  Past that color the float route
+        # refuses, and a dyadic x there still takes the rational route
+        from fractions import Fraction
+
+        from fig8jones.errors import DomainError
+
+        rng = np.random.default_rng(9)
+        xs = np.concatenate([rng.random(50) / 2, [0.4142135623, 1e-7, 0.5 - 2**-53]])
+        ns = np.array([1, 127, 128, 2**25, 2**26 - 1, 2**26 - 128], dtype=np.float64)
+        xh, xl = _kernels._split(xs[:, None])
+        d = _kernels._turns(xh, xl, ns)
+        for x, row in zip(xs.tolist(), d):
+            for n, got in zip(ns.tolist(), row.tolist()):
+                e = Fraction(x) * int(n)
+                e -= round(e)
+                assert abs(Fraction(got) - e) <= Fraction(1, 2**53), (x, n)
+        assert _kernels._MAX_FLOAT_COLOR == 2**25
+        _kernels._factors(np.array([2**25]), np.array([0.3]))
+        with pytest.raises(DomainError):
+            _kernels._factors(np.array([2**25 + 1]), np.array([0.3]))
+        with pytest.raises(DomainError):
+            _kernels.jones_scan(2**25 + 1, 0.3)
+        with pytest.raises(DomainError):
+            _kernels.jones_grid(np.array([3, 2**25 + 1]), np.array([0.3, 0.3]))
+        assert _kernels.jones_scan(2**25 + 1, 0.375) == (1, 0.0)
 
     def test_exact_kernel_matches_float_kernel_without_zeros(self):
         # r/N with r not dividing into zero hits: both kernels see the
@@ -98,16 +188,49 @@ class TestScanAgreement:
 class TestColumnBlocks:
     @staticmethod
     def unblocked(N, x):
-        # the float route over the whole row at once: full-length phases,
-        # fold, cos, sign cumprod, log cumsum, max, exp, sum
-        xs, cs = np.array([x]), np.array([N])
-        uN = xs * cs
-        uN -= np.floor(uN)
-        gN = 2.0 * np.cos(2.0 * np.pi * np.minimum(uN, 1.0 - uN))
-        u = x * np.arange(1, N, dtype=np.float64)
-        u -= np.floor(u)
-        u = np.minimum(u, 1.0 - u)
-        g = gN - 2.0 * np.cos(2.0 * np.pi * u)
+        # the whole row at once, on the kernel's route for (N, x).  A
+        # dyadic x (x = y/2^e, e + bit_length(N) <= 53, so every x*j is
+        # exact) takes twice the cosine of the folded exact phase.  Any
+        # other x is folded exactly and split, x = xh + xl with halves of
+        # 26 bits, and j = 128 s + i: 2cos(2 pi x j) = C2[i] cos A_s -
+        # S2[i] sin A_s, every phase x*n reduced to its distance from the
+        # nearest integer, and a factor under 2^-16 in magnitude is
+        # recomputed as -4 sin(pi x (N + j)) sin(pi x (N - j)).  Then sign
+        # cumprod, log cumsum, max, exp, sum
+        x = abs(x) % 1.0
+        x = min(x, 1.0 - x)
+        j = np.arange(1, N + 1)  # column N is g(N)'s own cosine
+        y = x * 2.0 ** (53 - N.bit_length())
+        if y == math.floor(y):
+            u = x * j
+            u -= np.floor(u)
+            twocos = 2.0 * np.cos(2.0 * np.pi * np.minimum(u, 1.0 - u))
+            g = twocos[-1] - twocos[:-1]
+        else:
+            t = (2.0**27 + 1.0) * x
+            xh = t - (t - x)
+            xl = x - xh
+
+            def turns(n):
+                p = xh * n
+                p -= np.rint(p)
+                p += xl * n
+                return p - np.rint(p)
+
+            def sin_pi(m):
+                p = xh * m
+                n = np.rint(p)
+                p = np.sin(np.pi * (p - n + xl * m))
+                return np.where(n % 2.0 == 1.0, -p, p)
+
+            s, i = np.divmod(j, 128)
+            b = 2.0 * np.pi * turns(np.arange(128.0))
+            a = 2.0 * np.pi * turns(128.0 * s)
+            twocos = (2.0 * np.cos(b))[i] * np.cos(a) - (2.0 * np.sin(b))[i] * np.sin(a)
+            g = twocos[-1] - twocos[:-1]
+            near = np.abs(g) < 2.0**-16
+            m = j[:-1][near].astype(np.float64)
+            g[near] = -4.0 * sin_pi(N + m) * sin_pi(N - m)
         sgnf = np.concatenate([[1.0], np.cumprod(np.sign(g))]).astype(np.int8)
         with np.errstate(divide="ignore"):
             logf = np.concatenate([[0.0], np.cumsum(np.log(np.abs(g)))])
@@ -217,6 +340,25 @@ class TestColumnBlocks:
             assert peak(_kernels.jones_scan, N) < 16 * 8 * _kernels._CHUNK_FACTORS, N
             assert peak(_kernels.jones_prefix, N) < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS, N
 
+    def test_long_rational_rows_keep_block_memory(self):
+        # rows on rational phases are filled block by block too: a lone
+        # color of 5e6 + 1 at r/N = 1/1e7, and a scan at the dyadic
+        # x = 2^-29, rational with Q = 2^29, whose 1e7 factors are all
+        # live, keep a few blocks, not a full-length row of phases and
+        # cosines (a cosine table is capped near a block as well)
+        import tracemalloc
+
+        for f in (lambda: _kernels.jones_grid_exact(np.array([5 * 10**6 + 1]), 1, 10**7),
+                  lambda: _kernels.jones_scan(10**7, 2.0**-29)):
+            tracemalloc.start()
+            try:
+                f()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 8 * _kernels._CHUNK_FACTORS
+        assert _kernels._live(np.array([10**7]), 1, 2**29)[0] == 10**7
+
 
 class TestGrids:
     @staticmethod
@@ -243,15 +385,18 @@ class TestGrids:
         self.assert_grid_is_scan(Ns, xs)
         # every odd color at one non-dyadic x, the non-integer cable
         # profile: chunks of rows of many colors, each of its own width.
-        # A shorter row of a chunk stops at its own color: g(c) subtracts
-        # two cosines of the same float x*c, so it is exactly 0.0
+        # A shorter row of a chunk stops at its own color: g(c) takes the
+        # same products of the same table entries and segment angles as
+        # the row's own g(c), so it is exactly 0.0, with one table for
+        # the chunk (one x) or one per row (an x per color)
         for N, r in ((800, 1.5), (301, 0.7)):
             cs = np.arange(1, 2 * N, 2, dtype=np.int64)
-            xs = np.full(len(cs), r / N)
-            self.assert_grid_is_scan(cs, xs)
-            fill = _kernels._factors(cs, xs)
-            g = fill(0, cs[-1] - 1, *np.empty((2, len(cs), cs[-1] - 1)))
-            assert (g[np.arange(len(cs) - 1), cs[:-1] - 1] == 0.0).all()
+            for xs in (np.full(len(cs), r / N), r / N + 1e-9 * np.arange(len(cs))):
+                self.assert_grid_is_scan(cs, xs)
+                for sl in _kernels._chunks((cs - 1).tolist()):
+                    c, n = cs[sl], int(cs[sl][-1]) - 1
+                    g = _kernels._factors(c, xs[sl])(0, n, *np.empty((2, len(c), n)))
+                    assert (g[np.arange(len(c) - 1), c[:-1] - 1] == 0.0).all()
         # dyadic non-integer profiles, x = 3/2048 and 1/64: one rational
         # call carries every color, each row at its own k, live length
         # and width
@@ -300,7 +445,7 @@ class TestGrids:
 
     def test_grid_dyadic_past_exactness_limit_takes_float_path(self, monkeypatch):
         # 2^-50 at N = 1000: 50 + bit_length(1000) = 60 > 53, so x*j need
-        # not be exact; 1 - 2^-50 shows it, its products round.  These two
+        # not be exact.  It and 1 - 2^-50, which folds to it exactly,
         # alone take the float route.  2^-43, 2^-40 and 1 - 2^-40 are
         # exact and take the rational core on direct cosines: tables of
         # 2^42 + 1 and 2^39 + 1 cosines would serve 999 factors a point.
@@ -313,11 +458,11 @@ class TestGrids:
             floated.extend(xs.tolist())
             return factors(cs, xs)
 
-        def spy_twocos(q, Q):
+        def spy_twocos(q, Q, out=None):
             # a table is the cosine of every q = 0..Q/2
             table = q.size == Q // 2 + 1 and np.array_equal(q, np.arange(q.size))
             cosines.append((Q, table))
-            return twocos(q, Q)
+            return twocos(q, Q, out)
 
         monkeypatch.setattr(_kernels, "_factors", spy_factors)
         monkeypatch.setattr(_kernels, "_twocos", spy_twocos)
@@ -331,7 +476,7 @@ class TestGrids:
             cosines.clear()
             Ns = np.full(len(xs), 1000, dtype=np.int64)
             _kernels.jones_grid(Ns, np.array(xs))
-            assert sorted(floated) == sorted(x for x in xs if x in past)
+            assert sorted(floated) == sorted(min(x, 1 - x) for x in xs if x in past)
             assert {Q for Q, table in cosines if not table} == direct
             assert sorted(Q for Q, table in cosines if table) == tables
             self.assert_grid_is_scan(Ns, np.array(xs))
