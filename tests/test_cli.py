@@ -1,8 +1,13 @@
+import gc
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from fig8jones import _kernels
+import fig8jones
+from fig8jones import _kernels, cli
 from fig8jones.cli import main
 
 
@@ -275,3 +280,70 @@ class TestChecksAndExitCodes:
                                "--method", "float")
         assert code == 70
         assert "float window" in err
+
+
+def run_python(*args):
+    """A fresh interpreter with this source tree first on its path."""
+    src = os.path.dirname(os.path.dirname(fig8jones.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+class TestProcessExit:
+    def test_in_process_main_keeps_the_collector(self):
+        assert run_cli("volume")[0] == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_run_disables_the_collector_and_freezes_the_heap(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fig8jones", "volume"])
+        try:
+            assert cli.run() == 0
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
+
+    @pytest.mark.parametrize("argv", [
+        ("figure", "conv1", "--step", "0.1"),
+        ("figure", "cable", "--N", "40", "--r", "1"),
+    ])
+    def test_module_run_writes_the_same_bytes(self, tmp_path, argv):
+        sub, inproc = tmp_path / "sub.csv", tmp_path / "inproc.csv"
+        proc = run_python("-m", "fig8jones.cli", *argv, "--out", str(sub))
+        code, out, err = run_cli(*argv, "--out", str(inproc))
+        assert proc.returncode == code == 0
+        assert (proc.stdout, proc.stderr) == (out.replace(str(inproc), str(sub)), err)
+        assert sub.read_bytes() == inproc.read_bytes()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("figure", "V", "--N", "5"), 2),
+        (("eval", "--bogus"), 64),
+    ])
+    def test_module_run_exit_codes(self, argv, expected):
+        assert run_python("-m", "fig8jones.cli", *argv).returncode == expected
+
+
+def test_package_resolves_names_on_first_access():
+    script = """
+import importlib, sys
+import fig8jones
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "numpy" or m.startswith("fig8jones.")))
+star = {}
+exec("from fig8jones import *", star)
+for name in fig8jones.__all__:
+    home = importlib.import_module("fig8jones." + fig8jones._HOME[name])
+    assert getattr(fig8jones, name) is getattr(home, name) is star[name], name
+try:
+    fig8jones.no_such_name
+except AttributeError:
+    print("AttributeError")
+print("__all__" in dir(fig8jones))
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "AttributeError", "True", ""]
