@@ -161,16 +161,11 @@ def limit_W(x):
     return W_SPEC.evaluate(x)
 
 
-def _predicted(r: float) -> float:
-    if r <= 1.0:
-        return float(limit_V(r))
-    return float(limit_W(r - math.floor(r)))
-
-
 def convergence_table(r_grid, N: int) -> list[ConvergenceRecord]:
     """Evaluate finite-N normalized logs over a grid of growth
     parameters r (position x = r/N) against the predicted limits.
 
+    The predicted value is V(r) for r <= 1 and W(r - floor(r)) beyond.
     Grid points where J_N vanishes to working precision produce flagged
     records with NaN finite value rather than failing the run.
     """
@@ -182,11 +177,19 @@ def convergence_table(r_grid, N: int) -> list[ConvergenceRecord]:
             raise DomainError(f"grid values must be finite and >= 0, got {r}")
         if r / N >= 1.0:
             raise DomainError(f"r = {r} needs r/N < 1 at N = {N}")
-    xs = np.array([r / N for r in rs])
-    signs, logabs = _kernels.jones_grid(np.full(len(xs), N, dtype=np.int64), xs)
+    r_arr = np.array(rs, dtype=float)
+    signs, logabs = _kernels.jones_grid(np.full(len(rs), N, dtype=np.int64), r_arr / N)
+    # predicted: V over r <= 1 and W over the fractional part beyond,
+    # one vectorized call each
+    high = r_arr > 1.0
+    low = ~high
+    preds = np.empty(len(rs))
+    if low.any():
+        preds[low] = limit_V(r_arr[low])
+    if high.any():
+        preds[high] = limit_W(r_arr[high] - np.floor(r_arr[high]))
     records = []
-    for r, s, la in zip(rs, signs, logabs):
-        pred = _predicted(r)
+    for r, s, la, pred in zip(rs, signs, logabs, preds.tolist()):
         if s == 0:
             rec = ConvergenceRecord(N, r, math.nan, pred, flagged=True)
         else:

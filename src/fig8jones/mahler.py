@@ -217,35 +217,55 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def _homology_exact(f: LaurentPolynomialZ, N: int) -> int:
-    """|prod_{k=1}^{N-1} f(zeta_N^k)| as an integer determinant.
-
-    With p the coefficients of f, d its degree, L its leading
-    coefficient and B = L * companion(p / L) (L on the subdiagonal,
-    -p_0 ... -p_{d-1} in the last column), the product is
-    |det G| |L|^(N-1) / |L|^(d(N-1)) with G = sum_{k<N} B^k L^(N-1-k),
-    because 1 + x + ... + x^(N-1) = prod_{k=1}^{N-1} (x - zeta_N^k).
-    A (t - 1) factor thus contributes N, and a root of unity of order
-    dividing N makes det G = 0.  G is built by doubling over the bits
-    of N: G_2n = G_n L^n + B^n G_n and G_(n+1) = G_n L + B^n.
-    """
-    p = f.coefficients
-    d, L = len(p) - 1, p[-1]
-    B = [[L if i == j + 1 else 0 for j in range(d - 1)] + [-p[i]]
-         for i in range(d)]
-    G = [[int(i == j) for j in range(d)] for i in range(d)]
-    P, Ln = B, L  # B^n and L^n, starting from G_1 = I
-    for bit in bin(N)[3:]:
+def _geometric(B: list[list[int]], L: int, m: int):
+    """(G_m, B^m, L^m) with G_m = sum_{k<m} B^k L^(m-1-k), by doubling
+    over the bits of m: G_2n = G_n L^n + B^n G_n and
+    G_(n+1) = G_n L + B^n, from G_1 = I."""
+    G = [[int(i == j) for j in range(len(B))] for i in range(len(B))]
+    P, Ln = B, L
+    for bit in bin(m)[3:]:
         G = _scale_add(G, Ln, _matmul(P, G))
         P, Ln = _matmul(P, P), Ln * Ln
         if bit == "1":
             G = _scale_add(G, L, P)
             P, Ln = _matmul(P, B), Ln * L
-    order, rem = divmod(abs(_bareiss_det(G) * L ** (N - 1)),
-                        abs(L) ** (d * (N - 1)))
-    if rem:
-        raise PrecisionError(f"homology product not integral at N={N}")
-    return order
+    return G, P, Ln
+
+
+def _homology_exact(f: LaurentPolynomialZ, Ns: list[int]) -> list[int]:
+    """|prod_{k=1}^{N-1} f(zeta_N^k)| as an integer determinant, for
+    each N of Ns (in their order).
+
+    With p the coefficients of f, d its degree, L its leading
+    coefficient and B = L * companion(p / L) (L on the subdiagonal,
+    -p_0 ... -p_{d-1} in the last column), the product is
+    |det G_N| |L|^(N-1) / |L|^(d(N-1)) with G_N = sum_{k<N} B^k L^(N-1-k),
+    because 1 + x + ... + x^(N-1) = prod_{k=1}^{N-1} (x - zeta_N^k).
+    A (t - 1) factor thus contributes N, and a root of unity of order
+    dividing N makes det G_N = 0.
+
+    The distinct N are visited once in increasing order, and (G_n, B^n)
+    advances by each gap m to the next N by
+    G_(n+m) = G_n L^m + B^n G_m, with (G_m, B^m, L^m) from doubling.
+    A gap m costs about log2(m) small matrix products, so a list costs
+    a sum of logs of its gaps, plus two products with the running
+    state and one determinant per distinct N.
+    """
+    p = f.coefficients
+    d, L = len(p) - 1, p[-1]
+    B = [[L if i == j + 1 else 0 for j in range(d - 1)] + [-p[i]]
+         for i in range(d)]
+    G, P, _ = _geometric(B, L, 1)  # (G_n, B^n) at n = 1
+    n, orders = 1, {}
+    for N in sorted(set(Ns)):
+        Gm, Pm, Lm = _geometric(B, L, N - n)
+        G = _scale_add(G, Lm, _matmul(P, Gm))
+        P, n = _matmul(P, Pm), N
+        orders[N], rem = divmod(abs(_bareiss_det(G) * L ** (N - 1)),
+                                abs(L) ** (d * (N - 1)))
+        if rem:
+            raise PrecisionError(f"homology product not integral at N={N}")
+    return [orders[N] for N in Ns]
 
 
 def _homology_float(f: LaurentPolynomialZ, N: int) -> int:
@@ -279,51 +299,66 @@ def _homology_float(f: LaurentPolynomialZ, N: int) -> int:
     return int(nearest)
 
 
+def _check_covers(f: LaurentPolynomialZ, Ns: list[int]) -> None:
+    """Refuse N < 2 and warn, at the public caller's caller, when f(1)
+    is not +-1."""
+    for N in Ns:
+        if N < 2:
+            raise ValueError(f"N must be >= 2, got {N}")
+    if abs(sum(f.coefficients)) != 1:
+        warnings.warn(
+            f"f(1) = {sum(f.coefficients)}; Alexander polynomials have "
+            "f(1) = +-1, results may not be homology orders",
+            UserWarning,
+            stacklevel=3,
+        )
+
+
 def homology_order(f: LaurentPolynomialZ, N: int, method: str = "exact") -> int:
     """Order of the first homology of the N-fold branched cyclic cover
     whose Alexander polynomial is f: |prod_{d=1}^{N-1} f(zeta_N^d)|,
     and 0 when the product vanishes (infinite homology).
 
-    'exact' computes the product as an integer determinant.
+    'exact' computes the product as an integer determinant: the
+    one-N case of the list walk in silver_williams_convergence, whose
+    cost is about log2(N) small matrix products by doubling.
     'float' uses the complex product and raises PrecisionError unless
     its forward error bound, |prod| (sum_k 32 u d S / |f(zeta^k)| +
     3 u (N - 1)) with u = 2^-53, d the degree and S the sum of
     |coefficients|, stays below 0.25; for the figure-eight it
     certifies N <= 28.
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    if abs(sum(f.coefficients)) != 1:
-        warnings.warn(
-            f"f(1) = {sum(f.coefficients)}; Alexander polynomials have "
-            "f(1) = +-1, results may not be homology orders",
-            UserWarning,
-            stacklevel=2,
-        )
+    _check_covers(f, [N])
     if method == "float":
         return _homology_float(f, N)
     if method == "exact":
-        return _homology_exact(f, N)
+        return _homology_exact(f, [N])[0]
     raise ValueError(f"unknown method {method!r}")
 
 
 def silver_williams_convergence(
     f: LaurentPolynomialZ, N_list
 ) -> list[ConvergenceRecord]:
-    """log|H_1(M_N)| / N against m(f) for each N.
+    """log|H_1(M_N)| / N against m(f) for each N, in the list's order.
 
-    The record's r field replicates N (the growth index of this family);
-    N where the homology is infinite (order 0) produce flagged records.
+    The orders come from one exact walk over the sorted distinct N,
+    which advances its state from each N to the next by the gap m
+    between them at a cost of about log2(m) small matrix products: a
+    list costs a sum of logs of its gaps, where computing each N alone
+    costs a sum of logs of the N.  The record's r field replicates N
+    (the growth index of this family); N where the homology is infinite
+    (order 0) produce flagged records.
     """
     predicted = mahler_from_roots(f)
+    Ns = [int(N) for N in N_list]
+    _check_covers(f, Ns)
     records = []
-    for N in N_list:
-        h = homology_order(f, int(N))
+    for N, h in zip(Ns, _homology_exact(f, Ns)):
         if h == 0:
-            rec = ConvergenceRecord(int(N), float(N), math.nan, predicted,
+            rec = ConvergenceRecord(N, float(N), math.nan, predicted,
                                     flagged=True)
         else:
-            rec = ConvergenceRecord(int(N), float(N), math.log(h) / N, predicted)
+            rec = ConvergenceRecord(N, float(N), math.log(h) / N, predicted)
         records.append(rec)
     return records
 

@@ -14,6 +14,7 @@ gain one digit per decade of terms and cannot reach 1e-12).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 
+@functools.cache
 def _zeta_even(n: int) -> np.ndarray:
     """zeta(2k) for k = 1..n, each correctly rounded to a float.
 
@@ -53,12 +55,13 @@ def _zeta_even(n: int) -> np.ndarray:
     return np.array([z / (1 << bits) for z in zeta])
 
 
-# zeta(2k) for the power series, computed here so that no special-function
-# library is imported; 80 terms bound the tail below 1e-39 for reduced
-# arguments <= pi/2 (term ratio <= ~1/4).
-_ZETA_EVEN = _zeta_even(80)
+# The power series takes zeta(2k) from _zeta_even, so that no
+# special-function library is imported; 80 terms bound the tail below
+# 1e-39 for reduced arguments <= pi/2 (term ratio <= ~1/4).  The table
+# is built on the first evaluation of Lambda, not at import (about 1 ms
+# of 600-bit arithmetic), and kept by functools.cache after it.
 _KR = np.arange(1, 81)
-_SERIES_COEF = _ZETA_EVEN / (_KR * (2 * _KR + 1) * np.pi ** (2.0 * _KR))
+_SERIES_DEN = _KR * (2 * _KR + 1) * np.pi ** (2.0 * _KR)
 
 
 class ThetaVariant(enum.Enum):
@@ -91,7 +94,8 @@ def _lob_reduced(t: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         base = t * (1.0 - np.log(2.0 * t))
     base = np.where(t == 0.0, 0.0, base)
-    ser = t * np.sum(_SERIES_COEF * t[..., None] ** (2 * _KR), axis=-1)
+    coef = _zeta_even(len(_KR)) / _SERIES_DEN
+    ser = t * np.sum(coef * t[..., None] ** (2 * _KR), axis=-1)
     return base + ser
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fig8jones import _kernels
+from fig8jones import _kernels, limits
 from fig8jones.errors import DomainError
 from fig8jones.jones_fig8 import EvaluationPoint, colored_jones, normalized_log
 from fig8jones.limits import (
@@ -24,6 +24,23 @@ VOLUME = 2.029883213
 
 BREAKPOINTS_V = (1.0 / 6.0, 0.75)
 BREAKPOINTS_W = (0.25, 0.75)
+
+
+def conv_grid(lo: float, step: float = 0.01) -> list[float]:
+    """r grid of a conv figure, built as the CLI builds it."""
+    n = round(1.0 / step)
+    return [lo + k * step for k in range(n + 1)]
+
+
+# (grid, N): the conv1, conv2, conv5 and conv8000 figures, and a grid that
+# crosses r = 1 and the integers
+PREDICTION_GRIDS = [
+    (conv_grid(0.0), 2000),
+    (conv_grid(1.0), 2000),
+    (conv_grid(4.0), 2000),
+    (conv_grid(4.0), 8000),
+    ([0.5 + 0.25 * k for k in range(11)], 100),
+]
 
 
 def finite_n_oracle(N: int, r: float) -> float:
@@ -181,6 +198,37 @@ class TestConvergenceTable:
         monkeypatch.setattr(_kernels, "jones_grid", fake_grid)
         (rec,) = convergence_table([0.5], 100)
         assert rec.flagged and math.isnan(rec.finite_value)
+
+    @pytest.mark.parametrize("rs, N", PREDICTION_GRIDS)
+    def test_predicted_column_matches_scalar_reference(self, rs, N):
+        # one vectorized call per curve gives the bits of a scalar call
+        # per point
+        ref = [float(limit_V(r)) if r <= 1.0 else float(limit_W(r - math.floor(r)))
+               for r in rs]
+        got = [rec.predicted for rec in convergence_table(rs, N)]
+        assert np.array_equal(np.array(got), np.array(ref))
+        assert all(type(p) is float for p in got)
+
+    @pytest.mark.parametrize("rs, N", PREDICTION_GRIDS)
+    def test_one_limit_call_per_curve(self, rs, N, monkeypatch):
+        calls = {"V": 0, "W": 0}
+
+        def spy(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        monkeypatch.setattr(limits, "limit_V", spy("V", limits.limit_V))
+        monkeypatch.setattr(limits, "limit_W", spy("W", limits.limit_W))
+        convergence_table(rs, N)
+        assert calls["V"] == (min(rs) <= 1.0)
+        assert calls["W"] == (max(rs) > 1.0)
+
+    def test_empty_grid(self, monkeypatch):
+        monkeypatch.setattr(limits, "limit_V", None)
+        monkeypatch.setattr(limits, "limit_W", None)
+        assert convergence_table([], 100) == []
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

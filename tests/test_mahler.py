@@ -297,6 +297,47 @@ class TestSilverWilliams:
                 LaurentPolynomialZ(0, (1, 1)), [4])
         assert rec.flagged
 
+    def test_list_walk_matches_lucas_oracle(self):
+        recs = silver_williams_convergence(FIG8_ALEXANDER, range(2, 301))
+        assert [rec.N for rec in recs] == list(range(2, 301))
+        for rec in recs:
+            assert rec.finite_value == math.log(lucas_homology_oracle(rec.N)) / rec.N
+
+    def test_list_walk_unsorted_repeats_and_gaps(self):
+        # L = 2 exercises the division by powers of L at every step
+        Ns = [300, 2, 2, 57, 1000]
+        recs = silver_williams_convergence(SIX_ONE_ALEXANDER, Ns)
+        assert [rec.N for rec in recs] == Ns
+        assert [rec.r for rec in recs] == [float(N) for N in Ns]
+        for rec in recs:
+            order = (2**rec.N - 1) ** 2
+            assert order == homology_order(SIX_ONE_ALEXANDER, rec.N)
+            assert rec.finite_value == math.log(order) / rec.N
+
+    def test_list_walk_matches_one_N_on_random_polynomials(self):
+        # gaps of 1 through 13 against one doubling from 1 to each N
+        rng = np.random.default_rng(11)
+        Ns = list(range(2, 12)) + [20, 33, 17]
+        for _ in range(10):
+            f = random_laurent(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                recs = silver_williams_convergence(f, Ns)
+                orders = [homology_order(f, N) for N in Ns]
+            for rec, h in zip(recs, orders):
+                assert rec.flagged == (h == 0)
+                if h:
+                    assert rec.finite_value == math.log(h) / rec.N
+
+    def test_list_with_N_one_raises(self):
+        with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+            silver_williams_convergence(FIG8_ALEXANDER, [5, 1, 7])
+
+    def test_non_alexander_list_warns(self):
+        with pytest.warns(UserWarning, match=r"f\(1\) = 3"):
+            recs = silver_williams_convergence(LaurentPolynomialZ(0, (3,)), [3, 2])
+        assert [rec.finite_value for rec in recs] == [math.log(9) / 3, math.log(3) / 2]
+
     def test_monotone_convergence_trend(self):
         # convergence is alpha^(-2N)-fast and floors at rounding by N ~ 50
         recs = silver_williams_convergence(FIG8_ALEXANDER, [3, 6, 10])

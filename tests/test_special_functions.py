@@ -13,8 +13,8 @@ from scipy.special import zeta
 import fig8jones
 from fig8jones.errors import DomainError
 from fig8jones.special_functions import (
-    _ZETA_EVEN,
     ThetaVariant,
+    _zeta_even,
     fig8_volume,
     lobachevsky,
     theta_r,
@@ -44,18 +44,41 @@ class TestZetaTable:
     def test_matches_scipy_bit_for_bit(self):
         # scipy is the independent oracle; too few fixed-point bits in
         # the recurrence would change the last bit of some entry
-        assert np.array_equal(_ZETA_EVEN, zeta(2.0 * np.arange(1, 81)))
+        assert np.array_equal(_zeta_even(80), zeta(2.0 * np.arange(1, 81)))
 
     def test_cli_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(fig8jones.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, fig8jones.cli; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'scipy'))"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        out = _fresh("import sys, fig8jones.cli; print(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_table_is_built_on_first_lobachevsky_call(self):
+        out = _fresh(
+            "from fig8jones import special_functions as sf\n"
+            "print(sf._zeta_even.cache_info().currsize)\n"
+            "sf.lobachevsky(0.5); sf.lobachevsky(np.linspace(0, 3, 7))\n"
+            "info = sf._zeta_even.cache_info()\n"
+            "print(info.currsize, info.misses)")
+        assert out.split() == ["0", "1", "1"]
+
+    def test_cable_figure_never_builds_table(self):
+        # the command runs as under python -m, and the cache is read at exit
+        out = _fresh(
+            "import atexit, runpy, sys\n"
+            "from fig8jones import special_functions as sf\n"
+            "atexit.register(lambda: print('misses', sf._zeta_even.cache_info().misses))\n"
+            "sys.argv = ['fig8jones', 'figure', 'cable', '--N', '40', '--r', '1', '--out', '-']\n"
+            "runpy.run_module('fig8jones.cli', run_name='__main__', alter_sys=True)")
+        assert out.splitlines()[0] == "c,value"
+        assert out.splitlines()[-1] == "misses 0"
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run by a fresh interpreter on this checkout."""
+    src = os.path.dirname(os.path.dirname(fig8jones.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", "import numpy as np\n" + code],
+                          env=env, capture_output=True, text=True, check=True).stdout
 
 
 class TestLobachevsky:
