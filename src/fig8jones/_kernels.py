@@ -2,8 +2,8 @@
 
 Every entry point builds the factors g(j), j = 1..c-1, of a color c,
 takes signed log-prefix products of them, and (for the scans and grids)
-reduces those to (sign, log|J_c|) by peeling each row's max before a
-pairwise sum.
+reduces those to (sign, log|J_c|) by one defined sum of the row's terms
+(Reduction, below).
 
 Phase convention: at t = exp(2 pi i x) the j-th factor is
 g(j) = 2 cos(2 pi x c) - 2 cos(2 pi x j).  J depends on x only through
@@ -51,7 +51,7 @@ which halves a symmetric grid such as the quadrature midpoints.
 
 Signs: the sign of f(k) = g(1)...g(k) is carried as the parity of its
 negative factors, one bool per prefix (a logical_xor accumulate of
-g < 0), and a term exp(log - max) takes it as its sign bit.  A vanished
+g < 0), and its term in the sum takes it as its sign bit.  A vanished
 factor needs no sign of its own: its log|0| = -inf makes every later
 log -inf and every later term +-0.0, whatever the parity says.  Adding
 +-0.0 to a nonzero partial sum moves no bit, adding it to a zero one
@@ -62,10 +62,9 @@ signs that turns 0 at the vanished factor.
 Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
 first such j, at most c, follows from integer arithmetic (``_live``).
 Past it every prefix product is 0, its log -inf, and its term +-0.0.
-So only the live prefix of a row is formed, and the row is summed over
-its color's full c terms, the ones past the formed columns +0.0: zeros
-at the same length, so the same pairwise-sum tree and the same bits as
-the whole row.
+So only the live prefix of a row is formed; the columns past it are
++0.0, and zero segments past a row's formed prefix leave its sum as it
+is (Reduction).
 
 Layout: both grid routes run through one chunk driver (``_rows``) on
 2-D arrays of shape (rows, j), one row per point, sorted by length and
@@ -77,52 +76,53 @@ chunk sit at the allocator's mmap threshold and fault their pages in
 again.  A chunk is as wide as its longest row.  A shorter row runs
 past its own first vanishing factor, an exact 0.0 (on the float route
 g(c), the same products of the same table entries and angles as the
-row's g(c)), so its extra columns are dead and its prefix and max are
-those of the lone row.  ``_reduce`` sums each row over its own width
-c: one np.sum over the block when every width is the block's, else one
-sum per row, and a row alone in its chunk by ``_segment_sum`` (below).
-The scans and ``jones_prefix`` are the one-row case.  cumsum/cumprod
-along a row are sequential recurrences and a sum over a contiguous row
-of c terms is the same pairwise sum, so the grids match the scans bit
-for bit.
+row's g(c)), so its extra columns are dead and its prefix is that of
+the lone row.  The scans are the one-row case of the same driver.
 
-Within a chunk the core runs in column blocks of at most
-``_CHUNK_FACTORS // rows + 1`` columns (``_block_width``), so every
-chunk of the grids is one block and only a lone row longer than
+Within a chunk the core runs in column blocks of ``_block_width``
+prefix columns, a multiple of the reduction's segment, so every chunk
+of the grids is one block and only a lone row longer than
 ``_CHUNK_FACTORS`` (a long scan, ``jones_prefix``, a long color) takes
 several.  Each block's first log and parity take the row's carried
 prefix, the last log and parity of the block before, ahead of the
 cumsum and the xor accumulate: the same recurrences, so the prefixes
 are bit for bit those of the whole row.
 
-Dropped blocks: a block whose max log lies ``_DROP`` = 750 nats or more
-below the row's running max is let go as soon as it is made, and a kept
-block once the running max has risen that far past its own (checked
-whenever the kept blocks have doubled).  Each of its terms
-exp(log - max) is then exactly 0.0, and adding +-0.0 to a sum changes
-no bit of a nonzero result.  A lone row is summed over its
-width by replaying numpy's pairwise tree (``_segment_sum``): a subtree
-with no kept column is 0.0, one inside a kept block a single np.sum of
-that slice, and a node of at most ``_GATHER`` terms across a gap or a
-block edge one np.sum of a zero-filled copy.  So a long scan keeps only
-the blocks near its max, and its columns past the formed prefix stay
-virtual; ``jones_prefix`` writes every block into its full-length
-result arrays and keeps none.
+Reduction: a row's prefix columns are cut into segments of ``_S`` = 128
+columns aligned to column 0, the columns past the formed prefix +0.0.
+A segment with max log m takes e = ceil(m / ln 2) and sums its ``_S``
+terms +-exp(log|f(k)| - e ln 2), each at most 1 up to rounding, by
+np.add.reduce, numpy's pairwise sum: the same bits wherever the segment
+sits.  The segment sums add up in column order in fixed exponent bins
+of ``_BIN`` = 512 binary orders (after Demmel & Nguyen, "Parallel
+reproducible summation", IEEE Trans. Comput. 64, 2015): bin
+b = floor(e / _BIN) takes ldexp(sum, e - b _BIN), an exact move up.
+The bins add up in ascending order, each moved down to the top bin B's
+scale, and log|J| = B _BIN ln 2 + log|total|.  Every step depends only
+on the row's terms in column order, so grids equal scans by
+construction, whatever the blocks and chunks.  A bin sum is below
+2^(_BIN + 60), so one ``_BINS`` = 4 or more bins below the top moves
+down to exactly +-0.0 (a test pins it), which moves no bit of a nonzero
+total.  A row thus carries its top bin and ``_BINS`` bin sums from
+block to block: a scan holds one block at any x, and lets go a segment
+below its kept bins, and a block of them before its exp.
+``jones_prefix`` writes every block into its full-length result arrays
+and sums none.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from .errors import DomainError
 
 # Factors per chunk of the grids, and per column block of a long row:
-# 128 KiB per float64 array, so the few arrays a chunk keeps alive fit
-# in L2.  Of 2^12..2^15, 2^14 ran the quadrature grids fastest on a
-# 2-core Xeon with 2 MiB of L2 per core.
-_CHUNK_FACTORS = 1 << 14
+# 256 KiB per float64 array, so the few arrays a chunk keeps alive fit
+# in L2.  Of 2^14..2^16, 2^15 ran the quadrature grids fastest within
+# L2 on a 2-core Xeon with 2 MiB of L2 per core; 2^16 gained 3 % more
+# at 2 MiB a chunk, and 2^14 lost 10 % to the reduction's per-block
+# calls.
+_CHUNK_FACTORS = 1 << 15
 
 # The float route (``_factors``): columns per segment of the angle
 # addition, the magnitude under which a factor is recomputed as a sine
@@ -132,6 +132,18 @@ _T = 128
 _TAU = 2.0 ** -16
 _SPLIT = 2.0 ** 27 + 1.0
 _MAX_FLOAT_COLOR = 1 << 25
+
+# The reduction (module docstring): columns per segment, binary orders
+# per bin, and the bins a row keeps, the top one and those below it
+_S = 128
+_BIN = 512
+_BINS = 4
+_LN2 = float(np.log(2.0))
+_DOWN = (np.arange(_BINS) + 1 - _BINS) * _BIN  # the kept bins' moves to the top
+# A segment max below -_BINS _BIN ln 2, a dead one's -inf among them,
+# lies _BINS bins or more below f(0) = 1 and so below every row's kept
+# bins: it is raised to this floor, which keeps its scale finite
+_FLOOR = -_BINS * _BIN * _LN2
 
 
 def current_backend() -> str:
@@ -324,213 +336,123 @@ def _rational_rows(c, k, Q):
 def _rational(c, k, Q):
     """Row-wise (signs, log|J|) of the colors of array c at x = k/Q on
     rational phases (``_rational_rows``).  Factors are formed only up to
-    each row's live prefix, and rows sum over their color's width (see
-    the module docstring)."""
+    each row's live prefix (see the module docstring)."""
     live, rows = _rational_rows(c, k, Q)
-    return _rows(live - 1, c, rows)
+    return _rows(live - 1, rows)
+
+
+def _pad(n):
+    """n rounded up to whole segments of the reduction."""
+    return -(-n // _S) * _S
 
 
 def _block_width(rows):
-    """Columns per block of the core, ``_CHUNK_FACTORS // rows`` plus one
-    so that a chunk of the grids is a single block both in its factors
-    and in its prefixes f(0..n), one column longer: its numpy calls see
-    whole contiguous arrays.  Only a lone row longer than
-    ``_CHUNK_FACTORS`` takes several blocks."""
-    return _CHUNK_FACTORS // rows + 1
+    """Prefix columns per block of the core: ``_CHUNK_FACTORS // rows``
+    factors and f(0), rounded up to whole segments, so that a chunk of
+    the grids is a single block and its numpy calls see whole contiguous
+    arrays.  Only a lone row longer than ``_CHUNK_FACTORS`` takes several
+    blocks."""
+    return _pad(_CHUNK_FACTORS // rows + 1)
 
 
 def _buffers(shapes):
-    """Flat buffers that ``_prefix_blocks`` shapes for each (rows, n) of
-    shapes: prefix parities (bool) and logs for the chunks that are one
-    block, and two block buffers, all views of one allocation, plus a
-    list of the slab slots that ``_log_prefix`` stores longer rows in.
-    A block buffer is as long as a block's prefixes, one column per row
-    more than its factors, so that the second also holds ``_reduce``'s
-    sign-bit words.  As separate arrays, freed together after each call,
+    """Flat buffers for the largest block of the chunks of shapes, each
+    (rows, n): prefix parities (bool) and logs, and two factor buffers,
+    the second also holding ``_reduce``'s sign-bit words, all views of
+    one allocation.  As separate arrays, freed together after each call,
     glibc's malloc handed them back to the system and the next call
     faulted them in again: some 60 minor faults per ``jones_grid_exact``
-    call at N = 3000, against none.  For the same reason the slots serve
-    every row of a call."""
-    p = max((rows * (n + 1) for rows, n in shapes if n <= _block_width(rows)), default=0)
-    g = max((rows * (min(_block_width(rows), n) + 1) for rows, n in shapes), default=0)
-    logs, gb, tb, pars = np.split(np.empty(p + 2 * g + (p + 7) // 8), np.cumsum([p, g, g]))
-    return pars.view(np.bool_)[:p], logs, gb, tb, []
-
-
-# exp(t) is 0.0 for every float64 t below log(2^-1075) = -745.13 (half
-# the least subnormal), and numpy's exp returns 0.0 at -750 and below
-# (a test pins it).  Rounding is monotonic, so a block whose max log
-# lies 750 or more below the row's max, in float, has fl(log - max)
-# <= -750 and exp(...) = 0.0 in every column.
-_DROP = 750.0
+    call at N = 3000, against none."""
+    p = max((rows * min(_block_width(rows), _pad(n + 1)) for rows, n in shapes), default=0)
+    logs, gb, tb, pars = np.split(np.empty(3 * p + (p + 7) // 8), np.cumsum([p, p, p]))
+    return pars.view(np.bool_)[:p], logs, gb, tb
 
 
 def _prefix_blocks(fill, rows, n, store, gb, tb):
     """Row-wise log-prefixes (parities, log|f(k)|), k = 0..n, of the
     partial products f(k) = g(1)...g(k), f(0) = 1, of the n factors a
     row that fill(a, b, out, tmp) writes, j = a+1..b, into out, yielded
-    one column block (``_block_width``) at a time as (k, parities, logs)
-    for prefix columns k..b, in the arrays store(k, b) returns.  A
-    parity is True where f(k) has an odd number of negative factors
-    (module docstring).  Factors are built in gb and tb, two block
-    buffers (``_buffers``), and their g < 0 in a bool view of tb; each
-    block's first log and parity take the row's prefix before the
+    one column block (``_block_width``) at a time as (k, b, parities,
+    logs) for prefix columns k..b, in the arrays store(k, b) returns for
+    those columns, or wider: their columns past b are set to +0.0 terms,
+    parity False and log -inf.  A parity is True where f(k) has an odd
+    number of negative factors (module docstring).  Factors are built in
+    gb and tb, two flat buffers, and their g < 0 in a bool view of tb;
+    each block's first log and parity take the row's prefix before the
     block, so cumsum and the xor accumulate run the same sequential
-    recurrences as over the whole row.  The carried parity is a copy,
-    so the consumer may overwrite a yielded block.  A vanished factor's
+    recurrences as over the whole row.  The carried prefix is a copy, so
+    the consumer may overwrite a yielded block.  A vanished factor's
     log|0| = -inf carries through the cumsum, so dead prefixes read
     -inf."""
     w = _block_width(rows)
     m = min(w, n)
     gbuf, tbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
     nbuf = tb.view(np.bool_)[:rows * m].reshape(rows, m)
-    for a in range(0, max(n, 1), w):
-        b = min(a + w, n)
-        k = a + 1 if a else 0  # block 0 also holds f(0) = 1
+    for k in range(0, n + 1, w):
+        # factors j = a+1..b make prefix columns k..b; block 0 also holds
+        # f(0) = 1
+        a, b = max(k - 1, 0), min(k + w, n + 1) - 1
         par, log = store(k, b)
-        if not a:
+        if not k:
             par[:, 0], log[:, 0] = False, 0.0
         if b > a:
             g = fill(a, b, gbuf[:, :b - a], tbuf[:, :b - a])
             neg = np.less(g, 0.0, out=nbuf[:, :b - a])
-            if a:
+            if k:
                 neg[:, 0] ^= carry_par
-            np.logical_xor.accumulate(neg, axis=1, out=par[:, a + 1 - k:])
+            np.logical_xor.accumulate(neg, axis=1, out=par[:, a + 1 - k:b + 1 - k])
             with np.errstate(divide="ignore"):
                 np.log(np.abs(g, out=g), out=g)
-            if a:
+            if k:
                 g[:, 0] += carry_log
-            np.cumsum(g, axis=1, out=log[:, a + 1 - k:])
-        carry_par, carry_log = par[:, -1].copy(), log[:, -1]
-        yield k, par, log
+            np.cumsum(g, axis=1, out=log[:, a + 1 - k:b + 1 - k])
+        par[:, b + 1 - k:], log[:, b + 1 - k:] = False, -np.inf
+        carry_par, carry_log = par[:, b - k].copy(), log[:, b - k].copy()
+        yield k, b, par, log
 
 
-def _log_prefix(fill, rows, n, bufs):
-    """The blocks of ``_prefix_blocks`` that can weigh in the rows' sums,
-    as (k, parities, logs, max), and the rows' max logs.  A block is
-    dropped (module docstring) once every row's max in it is ``_DROP``
-    below the row's running max.  A chunk of one block, for which the
-    prefix arrays of bufs (``_buffers``) hold all n + 1 columns of every
-    row, is that block, a view of them.  A longer row stores each block in a slot of a slab, from the
-    slots of bufs that every row of a call shares, and a dropped block
-    gives its slot back.  A slab is allocated when no slot is free, with
-    as many slots as there are kept blocks: a row that drops its blocks
-    reuses a few slots, and the slabs of a row that keeps them all
-    double, so numpy backs the large ones with huge pages (it advises
-    them from 4 MiB).  A scan at N = 1e7 that keeps every block took
-    21935 minor page faults with an array per block and takes 3503 with
-    slabs (Linux, transparent huge pages on madvise)."""
-    sb, lb, gb, tb, slots = bufs
-    if n <= _block_width(rows):  # one block: its max is the row's
-        p = rows * (n + 1)
-        store = lambda k, b: (sb[:p].reshape(rows, -1), lb[:p].reshape(rows, -1))
-        (k, par, log), = _prefix_blocks(fill, rows, n, store, gb, tb)
-        M = log.max(axis=1)
-        return [(k, par, log, M)], M
-    c = rows * (_block_width(rows) + 1)
-    # the blocks of the rows before this one are summed and dead
-    kept, held, top, free, slot = [], 1, None, slots[:], {}
-
-    def store(k, b):
-        if not free:
-            free.extend(np.empty((len(kept) or 1, c + (c + 7) // 8)))
-            slots.extend(free)
-        row = slot[k] = free.pop()
-        return (row[c:].view(np.bool_)[:rows * (b + 1 - k)].reshape(rows, -1),
-                row[:rows * (b + 1 - k)].reshape(rows, -1))
-
-    for k, par, log in _prefix_blocks(fill, rows, n, store, gb, tb):
-        M = log.max(axis=1)
-        top = M if top is None else np.maximum(top, M)
-        if (M - top <= -_DROP).all():  # never block 0, which starts the max
-            free.append(slot.pop(k))
-        else:
-            kept.append((k, par, log, M))
-        # the kept blocks are checked again once they have doubled, so
-        # a row that keeps them all is not rechecked at every block
-        if len(kept) > 2 * held:
-            dead = (np.array([blk[3] for blk in kept]) - top <= -_DROP).all(axis=1)
-            free.extend(slot.pop(blk[0]) for blk, d in zip(kept, dead) if d)
-            kept = [blk for blk, d in zip(kept, dead) if not d]
-            held = len(kept)
-    return kept, top
-
-
-# numpy's pairwise sum over n contiguous terms: up to 128 terms are one
-# leaf (eight interleaved accumulators), more split at n/2 rounded down
-# to a multiple of 8.  np.add.reduce over any contiguous copy of a node
-# of that tree runs the node's own subtree, so the replay below can stop
-# at any node of 128 terms or more.  It stops at nodes of up to _GATHER
-# terms: a node across a block edge or gap is then one zero-filled copy
-# of at most 32 KiB, and a row that keeps every block takes about 10
-# Python-level tree steps per block edge, against 16 with leaves of 128.
-_GATHER = 4096
-
-
-def _segment_sum(segs, n):
-    """np.sum of a row of n terms that are zero outside segs, a list of
-    (k, values) holding columns k onwards in column order, by replaying
-    numpy's pairwise tree: the same bits, up to the sign of a zero sum."""
-    starts = [k for k, _ in segs]
-    ends = [k + len(v) for k, v in segs]
-
-    def tree(lo, hi, i, j):
-        # segs[i:j] are the ones that overlap columns lo..hi-1
-        if i == j:
-            return 0.0
-        if j - i == 1 and starts[i] <= lo and hi <= ends[i]:
-            return np.add.reduce(segs[i][1][lo - starts[i]:hi - starts[i]])
-        if hi - lo <= _GATHER:
-            node = np.zeros(hi - lo)
-            for (k, v), e in zip(segs[i:j], ends[i:j]):
-                a, b = max(k, lo), min(e, hi)
-                node[a - lo:b - lo] = v[a - k:b - k]
-            return np.add.reduce(node)
-        mid = lo + (hi - lo) // 2 // 8 * 8
-        return (tree(lo, mid, i, bisect_left(starts, mid, i, j))
-                + tree(mid, hi, bisect_right(ends, mid, i, j), j))
-
-    return tree(0, n, 0, len(segs))
-
-
-def _reduce(blocks, M, widths, tb, zeros=None):
-    """Row-wise (signs, log|sum_k f(k)|) of ``_log_prefix``'s kept blocks
-    and row maxima M: peel each row's max, then a pairwise sum (np.sum)
-    over the row's width, widths[i], the columns past the formed ones
-    being +0.0.  Overwrites the blocks: the subtraction of the max and
-    the exp run in place, and each term takes its parity as its sign
-    bit, OR-ed in from words built in tb, the second block buffer of
-    ``_buffers``.  f(0) = 1 keeps every max finite, and past a vanished
-    factor a term is exp(-inf) = +0.0 with the parity's sign, +-0.0, so
-    no row needs masking (module docstring).  A lone row takes
-    ``_segment_sum``.  Rows of a chunk, always one block, take one
-    np.sum over the block when every width is the block's; otherwise
-    each row is copied into the head of ``zeros``, a buffer as long as
-    the longest width and zero past the block's, and summed over exactly
-    its width, so each keeps the pairwise-sum tree of a lone row."""
-    for _, par, f, _ in blocks:
-        np.subtract(f, M[:, None], out=f)
-        np.exp(f, out=f)
+def _reduce(blocks, rows, words):
+    """Row-wise (signs, log|sum_k f(k)|) of the (k, b, parities, logs)
+    blocks of ``_prefix_blocks``, each reduced as it is made (module
+    docstring, Reduction).  Overwrites each block; ``words``, a flat
+    buffer as large as a block, takes the sign-bit words."""
+    top, acc = None, np.zeros((rows, _BINS))  # bins top - _BINS + 1 .. top
+    for k, b, par, log in blocks:
+        f = log.reshape(rows, -1, _S)
+        # segment maxima; reduceat takes half the time of f.max(axis=2)
+        m = np.maximum.reduceat(log.reshape(-1), np.arange(0, log.size, _S)).reshape(rows, -1)
+        e = np.ceil(np.maximum(m, _FLOOR) / _LN2)
+        bins, up = np.divmod(e.astype(np.int64), _BIN)  # and moves up into them
+        hi = bins.max(axis=1) if top is None else np.maximum(top, bins.max(axis=1))
+        slot = bins - (hi - _BINS + 1)[:, None]
+        if top is not None:
+            if (slot < 0).all():
+                continue
+            # the kept bins move up with the top; a bin that leaves them
+            # stays _BINS or more below every later top
+            d = (hi - top)[:, None] + np.arange(_BINS)
+            acc = np.where(d < _BINS, np.take_along_axis(acc, np.minimum(d, _BINS - 1), axis=1), 0.0)
+        top = hi
+        f -= (e * _LN2)[:, :, None]
+        # numpy's exp takes a slow path on inputs that underflow, -inf
+        # among them, so the columns past b are written as +0.0
+        np.exp(log[:, :b + 1 - k], out=log[:, :b + 1 - k])
+        log[:, b + 1 - k:] = 0.0
         # every term is >= +0.0 here, so OR-ing parity << 63 into its
         # bits gives it the sign of f(k); a +-0.0 past a vanished factor
         # moves no bit of a nonzero sum, and a zero sum reads sign 0
-        bits = np.left_shift(par, np.uint64(63), out=tb.view(np.uint64)[:f.size].reshape(f.shape))
-        u = f.view(np.uint64)
+        bits = np.left_shift(par, np.uint64(63), out=words.view(np.uint64)[:par.size].reshape(par.shape))
+        u = log.view(np.uint64)
         u |= bits
-    if len(M) == 1:
-        s = np.array([_segment_sum([(k, f[0]) for k, _, f, _ in blocks], int(widths[0]))])
-    else:
-        (_, _, f, _), = blocks
-        rows, n = f.shape
-        if (widths == n).all():
-            s = np.sum(f, axis=1)
-        else:
-            s = np.empty(rows)
-            for i, w in enumerate(widths.tolist()):
-                zeros[:n] = f[i]
-                s[i] = np.add.reduce(zeros[:w])
+        sums = np.ldexp(np.add.reduce(f, axis=2), up)
+        r, s = np.nonzero(slot >= 0)
+        # unbuffered, in index order: each bin adds its segments in
+        # column order
+        np.add.at(acc, (r, slot[r, s]), sums[r, s])
+    # the bins in ascending order, a sequential sum
+    total = np.cumsum(np.ldexp(acc, _DOWN), axis=1)[:, -1]
     with np.errstate(divide="ignore"):
-        return np.sign(s).astype(np.int8), M + np.log(np.abs(s))
+        return np.sign(total).astype(np.int8), top * _BIN * _LN2 + np.log(np.abs(total))
 
 
 def _chunks(lengths):
@@ -547,25 +469,24 @@ def _chunks(lengths):
         a = b
 
 
-def _rows(lengths, widths, rows_fill):
-    """Row-wise (signs, log|J|) of rows of lengths[i] factors, row i
-    summed over widths[i] terms, where rows_fill(i) is the
-    ``_prefix_blocks`` fill of the rows of index array i.  Sorted by
-    length, the rows share ``_chunks``, whose buffers are allocated
-    once."""
+def _rows(lengths, rows_fill):
+    """Row-wise (signs, log|J|) of rows of lengths[i] factors, where
+    rows_fill(i) is the ``_prefix_blocks`` fill of the rows of index
+    array i.  Sorted by length, the rows share ``_chunks``, whose
+    buffers are allocated once."""
     order = np.argsort(lengths, kind="stable")
     chunks = [order[sl] for sl in _chunks(lengths[order].tolist())]
     shapes = [(len(i), int(lengths[i[-1]])) for i in chunks]
-    bufs = _buffers(shapes)
-    # only the rows of multi-row chunks are copied into zeros; in
-    # ascending length no row is copied past the current chunk's
-    # prefix, and its untouched pages stay unmapped
-    zeros = np.zeros(int(np.delete(widths, [i[0] for i in chunks if len(i) == 1]).max(initial=0)))
+    pars, logs, gb, tb = _buffers(shapes)
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i, (rows, n) in zip(chunks, shapes):
-        blocks, M = _log_prefix(rows_fill(i), rows, n, bufs)
-        sgn[i], log[i] = _reduce(blocks, M, widths[i], bufs[3], zeros)
+        def store(k, b):
+            w = _pad(b + 1 - k)
+            return pars[:rows * w].reshape(rows, w), logs[:rows * w].reshape(rows, w)
+
+        blocks = _prefix_blocks(rows_fill(i), rows, n, store, gb, tb)
+        sgn[i], log[i] = _reduce(blocks, rows, tb)
     return sgn, log
 
 
@@ -598,8 +519,7 @@ def _lone(N, x):
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
     live, fill = _lone(N, x)
-    bufs = _buffers([(1, live - 1)])
-    (s,), (l,) = _reduce(*_log_prefix(fill, 1, live - 1, bufs), np.array([N]), bufs[3])
+    (s,), (l,) = _rows(np.array([live - 1]), lambda i: fill)
     return int(s), l
 
 
@@ -608,13 +528,13 @@ def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
     _, fill = _lone(N, x)
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
-    # every block is written into the result arrays; none is dropped.
-    # Each block's parities become signs in place as it is formed, so
-    # no temporary grows with N
+    # every block is written into the result arrays.  Each block's
+    # parities become signs in place as it is formed, so no temporary
+    # grows with N
     store = lambda k, b: (sgnf.view(np.bool_)[None, k:b + 1], logf[None, k:b + 1])
     gb, tb = np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)
-    for k, _, log in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
-        s = sgnf[k:k + log.shape[1]]
+    for k, b, _, log in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
+        s = sgnf[k:b + 1]
         s *= -2
         s += 1
         s *= log[0] > -np.inf  # 0 where a factor vanished
@@ -653,7 +573,7 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     rest = np.flatnonzero(~exact)
     if len(rest):
         cs, xr = Ns[rest], xs[rest]
-        sgn[rest], log[rest] = _rows(cs - 1, cs, lambda i: _factors(cs[i], xr[i]))
+        sgn[rest], log[rest] = _rows(cs - 1, lambda i: _factors(cs[i], xr[i]))
     return sgn, log
 
 

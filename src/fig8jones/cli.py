@@ -387,10 +387,10 @@ def main(argv=None) -> int:
         print(f"fig8jones: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:
-        print("fig8jones: numeric error: not enough memory (a scan keeps 9 bytes "
-              "per factor within 750 nats of its max log, all of a row that does "
-              "not grow; profiles, quadratures and homology orders hold arrays "
-              "that grow with N or the sample count)", file=sys.stderr)
+        print("fig8jones: numeric error: not enough memory (a scan holds one "
+              "block of about 2^15 terms whatever N is; profiles, quadratures "
+              "and homology orders hold arrays that grow with N or the sample "
+              "count)", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"fig8jones: domain error: {exc}", file=sys.stderr)

@@ -139,7 +139,7 @@ def conv_grid_2000():
 
 @pytest.mark.xfail(
     reason="N = 2000 finite-size error grows like r log N / N: measured "
-           "max|delta| = 0.54 near r ~ 4.6 (and ~ 0.19 already on [1,2]); "
+           "max|delta| = 0.53 near r ~ 4.7 (and ~ 0.18 already on [1,2]); "
            "the 0.1 bound holds only on [0.05, 1] (measured 0.076).  "
            "High-precision evaluation confirms the finite-N values "
            "themselves sit this far below the limit curves (slow "

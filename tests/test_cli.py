@@ -272,7 +272,7 @@ class TestChecksAndExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith("fig8jones: numeric error: not enough memory")
-        assert "9 bytes per factor within 750 nats of its max log" in err
+        assert "a scan holds one block of about 2^15 terms whatever N is" in err
         assert "grow with N or the sample count" in err and "Traceback" not in err
 
     def test_precision_error_is_70(self):

@@ -185,71 +185,112 @@ class TestScanAgreement:
         assert (s, l) == (1, 0.0)
 
 
+def unblocked(N, x):
+    # the whole row at once, on the kernel's route for (N, x).  A
+    # dyadic x (x = y/2^e, e + bit_length(N) <= 53, so every x*j is
+    # exact) takes twice the cosine of the folded exact phase.  Any
+    # other x is folded exactly and split, x = xh + xl with halves of
+    # 26 bits, and j = 128 s + i: 2cos(2 pi x j) = C2[i] cos A_s -
+    # S2[i] sin A_s, every phase x*n reduced to its distance from the
+    # nearest integer, and a factor under 2^-16 in magnitude is
+    # recomputed as -4 sin(pi x (N + j)) sin(pi x (N - j)).  Then sign
+    # cumprod and log cumsum: the row's prefix signs and logs
+    x = abs(x) % 1.0
+    x = min(x, 1.0 - x)
+    j = np.arange(1, N + 1)  # column N is g(N)'s own cosine
+    y = x * 2.0 ** (53 - N.bit_length())
+    if y == math.floor(y):
+        u = x * j
+        u -= np.floor(u)
+        twocos = 2.0 * np.cos(2.0 * np.pi * np.minimum(u, 1.0 - u))
+        g = twocos[-1] - twocos[:-1]
+    else:
+        t = (2.0**27 + 1.0) * x
+        xh = t - (t - x)
+        xl = x - xh
+
+        def turns(n):
+            p = xh * n
+            p -= np.rint(p)
+            p += xl * n
+            return p - np.rint(p)
+
+        def sin_pi(m):
+            p = xh * m
+            n = np.rint(p)
+            p = np.sin(np.pi * (p - n + xl * m))
+            return np.where(n % 2.0 == 1.0, -p, p)
+
+        s, i = np.divmod(j, 128)
+        b = 2.0 * np.pi * turns(np.arange(128.0))
+        a = 2.0 * np.pi * turns(128.0 * s)
+        twocos = (2.0 * np.cos(b))[i] * np.cos(a) - (2.0 * np.sin(b))[i] * np.sin(a)
+        g = twocos[-1] - twocos[:-1]
+        near = np.abs(g) < 2.0**-16
+        m = j[:-1][near].astype(np.float64)
+        g[near] = -4.0 * sin_pi(N + m) * sin_pi(N - m)
+    return prefixes(g)
+
+
+def prefixes(g):
+    # prefix signs (int8) and logs of the partial products of a whole row
+    # of factors g(1), g(2), ...
+    sgnf = np.concatenate([[1.0], np.cumprod(np.sign(g))]).astype(np.int8)
+    with np.errstate(divide="ignore"):
+        logf = np.concatenate([[0.0], np.cumsum(np.log(np.abs(g)))])
+    return sgnf, logf
+
+
+def defined_sum(sgnf, logf):
+    # the kernels' reduction over one whole row, with no blocks, chunks
+    # or kept-bin window: segments of _S columns from column 0, the last
+    # padded with +0.0; a segment with max log m takes e = ceil(m / ln 2)
+    # and sums its _S terms +-exp(log - e ln 2) with
+    # np.add.reduce; segment sums go, in column order, into bins of
+    # _BIN binary orders, bin b = e // _BIN taking ldexp(sum, e - b _BIN);
+    # the bins add up in ascending order at the top bin's scale.  Also
+    # returns how many segments lie _BINS or more bins below the top
+    # bin as it stands after them, which a scan lets go
+    S, W, ln2 = _kernels._S, _kernels._BIN, _kernels._LN2
+    n = len(logf)
+    logs = np.full(-(-n // S) * S, -np.inf)
+    logs[:n] = logf
+    neg = np.zeros(len(logs), dtype=bool)
+    neg[:n] = sgnf < 0
+    bins, top, below = {}, 0, 0
+    for a in range(0, len(logs), S):
+        m = logs[a:a + S].max()
+        if m == -np.inf:
+            continue
+        e = math.ceil(m / ln2)
+        terms = np.exp(logs[a:a + S] - e * ln2)
+        terms[neg[a:a + S]] *= -1.0
+        b = e // W
+        bins[b] = bins.get(b, 0.0) + np.ldexp(np.add.reduce(terms), e - b * W)
+        top = max(top, b)
+        below += b <= top - _kernels._BINS
+    total = 0.0
+    for b in sorted(bins):
+        total += np.ldexp(bins[b], (b - top) * W)
+    with np.errstate(divide="ignore"):
+        return int(np.sign(total)), top * W * ln2 + np.log(np.abs(total)), below
+
+
 class TestColumnBlocks:
-    @staticmethod
-    def unblocked(N, x):
-        # the whole row at once, on the kernel's route for (N, x).  A
-        # dyadic x (x = y/2^e, e + bit_length(N) <= 53, so every x*j is
-        # exact) takes twice the cosine of the folded exact phase.  Any
-        # other x is folded exactly and split, x = xh + xl with halves of
-        # 26 bits, and j = 128 s + i: 2cos(2 pi x j) = C2[i] cos A_s -
-        # S2[i] sin A_s, every phase x*n reduced to its distance from the
-        # nearest integer, and a factor under 2^-16 in magnitude is
-        # recomputed as -4 sin(pi x (N + j)) sin(pi x (N - j)).  Then sign
-        # cumprod, log cumsum, max, exp, sum
-        x = abs(x) % 1.0
-        x = min(x, 1.0 - x)
-        j = np.arange(1, N + 1)  # column N is g(N)'s own cosine
-        y = x * 2.0 ** (53 - N.bit_length())
-        if y == math.floor(y):
-            u = x * j
-            u -= np.floor(u)
-            twocos = 2.0 * np.cos(2.0 * np.pi * np.minimum(u, 1.0 - u))
-            g = twocos[-1] - twocos[:-1]
-        else:
-            t = (2.0**27 + 1.0) * x
-            xh = t - (t - x)
-            xl = x - xh
-
-            def turns(n):
-                p = xh * n
-                p -= np.rint(p)
-                p += xl * n
-                return p - np.rint(p)
-
-            def sin_pi(m):
-                p = xh * m
-                n = np.rint(p)
-                p = np.sin(np.pi * (p - n + xl * m))
-                return np.where(n % 2.0 == 1.0, -p, p)
-
-            s, i = np.divmod(j, 128)
-            b = 2.0 * np.pi * turns(np.arange(128.0))
-            a = 2.0 * np.pi * turns(128.0 * s)
-            twocos = (2.0 * np.cos(b))[i] * np.cos(a) - (2.0 * np.sin(b))[i] * np.sin(a)
-            g = twocos[-1] - twocos[:-1]
-            near = np.abs(g) < 2.0**-16
-            m = j[:-1][near].astype(np.float64)
-            g[near] = -4.0 * sin_pi(N + m) * sin_pi(N - m)
-        sgnf = np.concatenate([[1.0], np.cumprod(np.sign(g))]).astype(np.int8)
-        with np.errstate(divide="ignore"):
-            logf = np.concatenate([[0.0], np.cumsum(np.log(np.abs(g)))])
-            M = np.max(logf)
-            total = np.sum(np.exp(logf - M) * sgnf)
-            return sgnf, logf, (int(np.sign(total)), M + np.log(np.abs(total)))
-
     def test_blocked_core_matches_unblocked_formula(self):
-        # rows on both sides of one block (C + 1 factors), two, and many;
-        # the carried log and sign parity make the blocked prefixes and
-        # sums equal, bit for bit, to the whole-row recurrences.  At
+        # rows on both sides of one block (W prefix columns), two, and
+        # many; the carried log and sign parity make the blocked prefixes
+        # equal, bit for bit, to the whole-row recurrences, and the sums
+        # equal to the reduction's definition over the whole row.  At
         # N = 40000, x = 2^-16 the first vanishing factor, j = 25536,
         # lies in the second block: a parity carried across a block
         # edge meets an exact zero, and the signs must turn 0 there
-        C = _kernels._CHUNK_FACTORS
-        cases = [(N, x) for N in (C - 1, C, C + 1, C + 2, C + 3, 3 * C + 5, 10**6)
+        W = _kernels._block_width(1)
+        cases = [(N, x) for N in (W - 1, W, W + 1, W + 2, W + 129, 3 * W + 5, 10**6)
                  for x in (1.05 / N, 0.3, 1 / 3, 0.5)]
         for N, x in cases + [(40000, 2.0**-16)]:
-            sgnf, logf, (s, l) = self.unblocked(N, x)
+            sgnf, logf = unblocked(N, x)
+            s, l, _ = defined_sum(sgnf, logf)
             ks, kl = _kernels.jones_scan(N, x)
             assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, x)
             ps, pl = _kernels.jones_prefix(N, x)
@@ -259,86 +300,62 @@ class TestColumnBlocks:
             if x == 0.5:
                 # dead at j <= 2 in the first block, and in every
                 # later block too: J = 1 (odd N) or 1 + 4 (even N)
-                assert (ps[C:] == 0).all() and (pl[C:] == -np.inf).all()
+                assert (ps[W:] == 0).all() and (pl[W:] == -np.inf).all()
                 assert ks == 1
                 assert abs(kl - (0.0 if N % 2 else math.log(5.0))) < 1e-15
             if N == 40000:
                 assert ps[25535] != 0 and (ps[25536:] == 0).all()
 
     def test_windowed_scan_matches_unblocked_formula(self):
-        # rows of several blocks that drop the ones far below their
-        # running max, as they are made or once the max has risen past
-        # them: the sum over the kept blocks must equal, bit for bit, the
-        # dense sum over the whole row
-        C = _kernels._CHUNK_FACTORS
-        for N in (3 * C + 5, 5 * C + 17, 300_001, 10**6):
+        # rows of several blocks whose logs fall _BINS bins or more below
+        # their top, where a scan lets segments and whole blocks go: the
+        # scan must equal, bit for bit, the definition over the whole row
+        W = _kernels._block_width(1)
+        for N in (3 * W + 5, 5 * W + 17, 300_001, 10**6):
             for r in (1.0, 0.9, 1.05, 2.5):
                 x = r / N
-                _, _, (s, l) = self.unblocked(N, x)
-                fill = _kernels._factors(np.array([N]), np.array([x]))
-                blocks, _ = _kernels._log_prefix(fill, 1, N - 1, _kernels._buffers([(1, N - 1)]))
-                assert len(blocks) < -(-(N - 1) // (C + 1)), (N, r)
+                s, l, below = defined_sum(*unblocked(N, x))
+                assert below >= W // _kernels._S, (N, r)
                 ks, kl = _kernels.jones_scan(N, x)
                 assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, r)
 
-    def test_exp_underflows_to_zero_past_the_drop_margin(self):
-        # a dropped block's terms are exp(log - max) with log - max <=
-        # -750: numpy's exp, on the vectorized loop of a long array and on
-        # a short one, must give +0.0 there
-        t = -_kernels._DROP - np.random.default_rng(5).exponential(50.0, 1000)
-        t[:3] = -_kernels._DROP, -1e300, -np.inf
+    def test_bins_below_the_kept_ones_add_zero(self):
+        # a bin sum is below 2^(_BIN + 60); moved down by _BINS bins or
+        # more to the top bin's scale it must be exactly +-0.0, on a long
+        # array and a short one, so the bins and segments a row lets go
+        # cannot move a bit of its total.  A segment max at the floor
+        # lies _BINS bins below f(0) = 1, so below every row's kept bins
+        big = 2.0 ** (_kernels._BIN + 60) * (1.0 - np.random.default_rng(5).random(1000))
         for n in (1000, 64, 5):
-            e = np.exp(t[:n])
-            assert (e == 0.0).all() and not np.signbit(e).any()
-        assert np.exp(-_kernels._DROP) == 0.0
-
-    def test_segment_sum_replays_numpy_pairwise_sum(self):
-        # numpy's pairwise tree (leaves of 128, splits at n/2 rounded to
-        # a multiple of 8) replayed over the kept blocks must give
-        # np.sum of the dense row with the other blocks zeroed, bit for
-        # bit, including rows whose tail past the last block is virtual.
-        # The replay gathers nodes of up to _GATHER terms, so the rows
-        # past that, of random length, are the ones that test its splits
-        rng = np.random.default_rng(6)
-        C = _kernels._CHUNK_FACTORS
-        longer = rng.integers(_kernels._GATHER + 1, 20 * _kernels._GATHER, 40).tolist()
-        for n in [*range(1, 2001), *longer, 3 * C + 1, 3 * C + 129, 4 * C + 7, 200_003]:
-            row = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
-            width = int(rng.integers(1, max(2, n // 50) + 1))
-            starts = list(range(0, n, width))
-            keep = rng.random(len(starts)) < rng.uniform(0.1, 0.9)
-            keep[rng.integers(len(starts))] = True
-            dense = np.zeros(n)
-            segs = []
-            for k, kept in zip(starts, keep):
-                if kept:
-                    dense[k:k + width] = row[k:k + width]
-                    segs.append((k, row[k:k + width]))
-            tail = int(rng.integers(0, 300))
-            got = _kernels._segment_sum(segs, n + tail)
-            want = np.sum(np.concatenate([dense, np.zeros(tail)]))
-            assert np.float64(got).tobytes() == want.tobytes(), (n, width, tail)
+            for sign in (1.0, -1.0):
+                z = np.ldexp(sign * big[:n], -_kernels._BINS * _kernels._BIN)
+                assert (z == 0.0).all() and (np.signbit(z) == (sign < 0)).all()
+        e = math.ceil(_kernels._FLOOR / _kernels._LN2)
+        assert e // _kernels._BIN == -_kernels._BINS
 
     def test_long_scan_memory_is_its_prefix_arrays(self):
-        # a long scan keeps only the blocks near its running max, so its
-        # peak is a few blocks at N = 1e6 and 4e6 alike; jones_prefix
-        # returns the full log (float64) and sign (int8) prefixes, 9
-        # bytes per factor, and a few block-sized buffers, at both N: a
-        # temporary that grows with N (say, in turning the sign parities
-        # into int8 signs) breaks the bound at 4e6
+        # a long scan reduces each block as it is made, so its peak is a
+        # few blocks at N = 1e6 and 4e6 alike, at x = 1.05/N, where |f(k)|
+        # grows and falls, and at a generic x, where it stays within a
+        # few nats of its max; jones_prefix returns the full log (float64)
+        # and sign (int8) prefixes, 9 bytes per factor, and a few
+        # block-sized buffers, at both N: a temporary that grows with N
+        # (say, in turning the sign parities into int8 signs) breaks the
+        # bound at 4e6
         import tracemalloc
 
-        def peak(f, N):
+        def peak(f, N, x):
             tracemalloc.start()
             try:
-                f(N, 1.05 / N)
+                f(N, x)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         for N in (10**6, 4 * 10**6):
-            assert peak(_kernels.jones_scan, N) < 16 * 8 * _kernels._CHUNK_FACTORS, N
-            assert peak(_kernels.jones_prefix, N) < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS, N
+            for x in (1.05 / N, 0.4142135623):
+                assert peak(_kernels.jones_scan, N, x) < 16 * 8 * _kernels._CHUNK_FACTORS, (N, x)
+                assert peak(_kernels.jones_prefix, N, x) < 9 * N + 16 * 8 * _kernels._CHUNK_FACTORS, (N, x)
 
     def test_long_rational_rows_keep_block_memory(self):
         # rows on rational phases are filled block by block too: a lone
@@ -393,6 +410,11 @@ class TestGrids:
             cs = np.arange(1, 2 * N, 2, dtype=np.int64)
             for xs in (np.full(len(cs), r / N), r / N + 1e-9 * np.arange(len(cs))):
                 self.assert_grid_is_scan(cs, xs)
+                # and the reduction's definition over each whole row
+                gs, gl = _kernels.jones_grid(cs, xs)
+                for i in (0, len(cs) // 3, len(cs) - 2):
+                    s, l, _ = defined_sum(*unblocked(int(cs[i]), float(xs[i])))
+                    assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
                 for sl in _kernels._chunks((cs - 1).tolist()):
                     c, n = cs[sl], int(cs[sl][-1]) - 1
                     g = _kernels._factors(c, xs[sl])(0, n, *np.empty((2, len(c), n)))
@@ -413,9 +435,11 @@ class TestGrids:
         rng.shuffle(Ns)
         self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
         # a lone row just past one column block, in a call whose chunk of
-        # 103 rows of 160 prefix columns sized the shared prefix buffers
-        # past that row's 16400 columns: it still runs in two blocks
-        Ns = np.array([160] * 103 + [16400], dtype=np.int64)
+        # rows of 160 prefix columns sized the shared prefix buffers past
+        # that row's columns: it still runs in two blocks
+        C, W = _kernels._CHUNK_FACTORS, _kernels._block_width(1)
+        assert C // 159 * 256 > W + 100
+        Ns = np.array([160] * (C // 159) + [W + 100], dtype=np.int64)
         self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
 
     def test_grid_dyadic_quadrature_grid(self):
@@ -494,7 +518,8 @@ class TestGrids:
     def test_grid_exact_matches_pointwise(self):
         # over all odd colors, many past their first dead factor; the
         # colors stop there, and the sum must equal, bit for bit, the
-        # full row with its dead factors zeroed and the one-color call
+        # reduction's definition over the full row with its dead factors
+        # zeroed, and the one-color call
         def full_row(c, r, N):
             q = r * np.arange(1, c) % N
             q = np.minimum(q, N - q)
@@ -502,13 +527,8 @@ class TestGrids:
             g = (2.0 * np.cos(2.0 * np.pi * qc / N)
                  - 2.0 * np.cos(2.0 * np.pi * q / N))
             g[q == qc] = 0.0
-            def fill(a, b, out, tmp):
-                out[:] = g[a:b]
-                return out
-
-            bufs = _kernels._buffers([(1, c - 1)])
-            s, l = _kernels._reduce(*_kernels._log_prefix(fill, 1, c - 1, bufs), np.array([c]), bufs[3])
-            return int(s[0]), l[0], bool((q == qc).any())
+            s, l, _ = defined_sum(*prefixes(g))
+            return s, np.float64(l), bool((q == qc).any())
 
         def dead_rows(cs, r, N):
             cs = np.array(cs, dtype=np.int64)
@@ -533,9 +553,9 @@ class TestGrids:
         # color, so chunks hold many rows of different widths
         shuffled = np.random.default_rng(8).permutation(
             np.concatenate([np.arange(1, 600, 2), np.arange(1, 600, 6), [301] * 5]))
-        assert _kernels._live(20001, 1, 40000) > _kernels._CHUNK_FACTORS
+        assert _kernels._live(40001, 1, 80000) > _kernels._CHUNK_FACTORS
         for cs, r, N in ((shuffled, 2, 300), ([1], 1, 800), ([1, 1, 3], 3, 301),
-                         ([], 1, 800), ([3, 20001, 5], 1, 40000),
+                         ([], 1, 800), ([3, 40001, 5], 1, 80000),
                          (np.arange(1, 6000, 14), 1, 3000)):
             dead_rows(cs, r, N)
 
