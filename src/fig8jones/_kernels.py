@@ -1,9 +1,10 @@
 """Hot evaluation kernels for the Habiro-Le sum.
 
-Every entry point builds the factors g(j), j = 1..c-1, of a color c,
-takes signed log-prefix products of them, and (for the scans and grids)
-reduces those to (sign, log|J_c|) by one defined sum of the row's terms
-(Reduction, below).
+Every entry point builds the factors g(j), j = 1..c-1, of a color c.
+The scans and grids sum J_c = 1 + g(1)(1 + g(2)(1 + ...)) by Horner's
+rule over fixed-length pieces of each row (Reduction, below) and
+return (sign, log|J_c|); ``jones_prefix`` returns the signed
+log-prefix products f(k) = g(1)...g(k) themselves.
 
 Phase convention: at t = exp(2 pi i x) the j-th factor is
 g(j) = 2 cos(2 pi x c) - 2 cos(2 pi x j).  J depends on x only through
@@ -27,87 +28,82 @@ grid take the same one:
   entries are no more than the cosines the rows would take directly
   and no more than a block or one per color, else the cosines
   themselves (``_twocos``), the same expression on the same q, so the
-  same bits either way.
+  same bits either way.  A factor under ``_TAU`` = 2^-16 in magnitude,
+  near one of its roots where a cosine difference keeps few digits, is
+  recomputed from the integer phases as
+  -4 sin(pi (q_c + q_j)/Q) sin(pi (q_c - q_j)/Q).
 * Float phases (``_factors``), every other point: x = xh + xl split
   into halves of 26 bits (``_split``), so xh*n and xl*n are exact for
   n < 2^26 and x*n less its nearest integer costs one rounding
-  (``_turns``).  With j = _T s + i, _T = 128, the cosine comes by angle
-  addition, 2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s, from small
-  tables C2[i], S2[i] = 2 cos, 2 sin (2 pi x i), i < _T, and the angles
-  A_s = 2 pi x _T s of a block's segments: two products and a
-  difference per factor where a cosine was.  The split of j depends on
+  (``_turns``).  With j = _L s + i, i in 1.._L, that is factor i of
+  piece s (Reduction, below), the cosine comes by angle addition,
+  2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s, from small tables
+  C2[i], S2[i] = 2 cos, 2 sin (2 pi x i), and the angles A_s = 2 pi x _L s
+  of a block's pieces: two products and a difference per factor where a
+  cosine was.  The split of j depends on
   j alone, so blocks and chunks see the same values.  A factor under
-  ``_TAU`` = 2^-16 in magnitude, near one of its roots where a cosine
-  difference keeps few digits, is recomputed as
-  -4 sin(pi x (c + j)) sin(pi x (c - j)) on phases reduced the same
-  way (``_sin_pi``).  Every c + j must stay below 2^26, so this route
-  takes colors up to ``_MAX_FLOAT_COLOR`` = 2^25 and raises DomainError
-  past it.
+  ``_TAU`` is recomputed as -4 sin(pi x (c + j)) sin(pi x (c - j)) on
+  phases reduced the same way (``_sin_pi``).  Every c + j must stay
+  below 2^26, so this route takes colors up to ``_MAX_FLOAT_COLOR`` =
+  2^25 and raises DomainError past it.
 
 The x <-> 1-x fold: ``jones_grid`` evaluates each distinct
 (color, folded x) of its dyadic points once, in one ``_rational`` call
 per distinct Q that covers every color, and scatters the results back,
 which halves a symmetric grid such as the quadrature midpoints.
 
-Signs: the sign of f(k) = g(1)...g(k) is carried as the parity of its
-negative factors, one bool per prefix (a logical_xor accumulate of
-g < 0), and its term in the sum takes it as its sign bit.  A vanished
-factor needs no sign of its own: its log|0| = -inf makes every later
-log -inf and every later term +-0.0, whatever the parity says.  Adding
-+-0.0 to a nonzero partial sum moves no bit, adding it to a zero one
-leaves a zero, and a total that is zero reads sign 0 and log -inf
-whichever its zero's sign, so the results are those of a product of
-signs that turns 0 at the vanished factor.
+Reduction: a row of n factors is cut into pieces of ``_L`` = 128
+factors counted from j = 1, piece p holding g(pL + 1..pL + L).  Each
+piece is the affine map h -> b + a h, a the product of its factors and
+b = 1 + g(pL+1)(1 + ... (1 + g(pL+L-1))), so that J = M_0(M_1(...(1))).
+b takes backward Horner steps b <- 1 + g b from g(pL+L) down to
+g(pL+1), each one vector multiply-add across all pieces of a block
+(``_horner``); |g| <= 4, so |b| < 4^_L needs no rescaling.  a is the
+product of the piece's groups of ``_K`` = 8 factors, each group's
+product split exactly by frexp into a mantissa and an integer exponent,
+so no partial product leaves the normal range while a group's factors
+average above 2^-127.  A row's maps then compose in one fixed pairwise
+order (``_tree``): neighbours 2i, 2i+1 at every level, an odd last map
+passing up unchanged, with b and a kept as mantissas and integer
+exponents (``_compose``), and the composite is applied to h = 1.  A
+composition b_l + a_l b_r carries the rounding error of a_l b_r exactly
+(Dekker's product), so where the sum cancels it rounds once: rounded
+alone, the product could meet b_l exactly and leave 0.0, a false zero
+at a row whose terms cancel below float64's reach.  Every
+step depends only on the row's factors, so grids equal scans by
+construction, whatever the chunks.  Horner's forward error is bounded
+by gamma_2n sum_k |f(k)| (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 5), however large |log f(k)| grows.
+
+Signs: the sign of J comes out of the arithmetic, as the sign of b.  A
+vanished factor makes its step b = 1 and its piece's a = +-0, which
+restarts the sum there; a total that is zero reads sign 0 and log -inf.
 
 Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
 first such j, at most c, follows from integer arithmetic (``_live``).
-Past it every prefix product is 0, its log -inf, and its term +-0.0.
-So only the live prefix of a row is formed; the columns past it are
-+0.0, and zero segments past a row's formed prefix leave its sum as it
-is (Reduction).
+So a row of n = live - 1 factors, or c - 1 on the float route, ends at
+the exact zero g(n + 1): its last piece runs past n on the row's own
+values, and the step at g(n + 1) restarts it at b = 1, as zero padding
+would.  A row of n < _L factors takes steps from g(n + 1) only.
 
 Layout: both grid routes run through one chunk driver (``_rows``) on
-2-D arrays of shape (rows, j), one row per point, sorted by length and
-cut into chunks of at most ``_CHUNK_FACTORS`` factors (at least one
-row), so the per-point cost is a share of a few whole-array numpy calls
-and a chunk's working set stays in cache.  Its buffers are allocated
-once per call: chunk-sized buffers freed and allocated again chunk by
-chunk sit at the allocator's mmap threshold and fault their pages in
-again.  A chunk is as wide as its longest row.  A shorter row runs
-past its own first vanishing factor, an exact 0.0 (on the float route
-g(c), the same products of the same table entries and angles as the
-row's g(c)), so its extra columns are dead and its prefix is that of
-the lone row.  The scans are the one-row case of the same driver.
-
-Within a chunk the core runs in column blocks of ``_block_width``
-prefix columns, a multiple of the reduction's segment, so every chunk
-of the grids is one block and only a lone row longer than
-``_CHUNK_FACTORS`` (a long scan, ``jones_prefix``, a long color) takes
-several.  Each block's first log and parity take the row's carried
-prefix, the last log and parity of the block before, ahead of the
-cumsum and the xor accumulate: the same recurrences, so the prefixes
-are bit for bit those of the whole row.
-
-Reduction: a row's prefix columns are cut into segments of ``_S`` = 128
-columns aligned to column 0, the columns past the formed prefix +0.0.
-A segment with max log m takes e = ceil(m / ln 2) and sums its ``_S``
-terms +-exp(log|f(k)| - e ln 2), each at most 1 up to rounding, by
-np.add.reduce, numpy's pairwise sum: the same bits wherever the segment
-sits.  The segment sums add up in column order in fixed exponent bins
-of ``_BIN`` = 512 binary orders (after Demmel & Nguyen, "Parallel
-reproducible summation", IEEE Trans. Comput. 64, 2015): bin
-b = floor(e / _BIN) takes ldexp(sum, e - b _BIN), an exact move up.
-The bins add up in ascending order, each moved down to the top bin B's
-scale, and log|J| = B _BIN ln 2 + log|total|.  Every step depends only
-on the row's terms in column order, so grids equal scans by
-construction, whatever the blocks and chunks.  A bin sum is below
-2^(_BIN + 60), so one ``_BINS`` = 4 or more bins below the top moves
-down to exactly +-0.0 (a test pins it), which moves no bit of a nonzero
-total.  A row thus carries its top bin and ``_BINS`` bin sums from
-block to block: a scan holds one block at any x, and lets go a segment
-below its kept bins, and a block of them before its exp.
-``jones_prefix`` writes every block into its full-length result arrays
-and sums none.
+blocks of factors laid out (t, piece, row), t < _L the place in the
+piece, so Horner step t reads one contiguous row of the block.  Rows
+are sorted by length and cut into chunks of at most ``_PIECES`` pieces
+(at least one row), so the per-point cost is a share of a few numpy
+calls per step.  A block is formed a part of rows at a time, at most
+``_CHUNK_FACTORS`` factors, in two buffers allocated once per call:
+chunk-sized buffers freed and allocated again chunk by chunk sit at the
+allocator's mmap threshold and fault their pages in again.  A chunk
+holds as many pieces per row as its longest row; a shorter row runs
+past its own first vanishing factor, and its pieces past its last one
+are replaced by the identity map, which composes exactly.  Only a lone
+row of more than ``_PIECES`` pieces (a long scan or color) takes several
+blocks, each of ``_PIECES`` pieces, a power of two, so each block's
+tree is a whole subtree of the row's and a scan holds one block at any
+x.  ``jones_prefix`` takes blocks of ``_CHUNK_FACTORS`` factors, turned
+back to column order, and writes their prefixes into its full-length
+results.
 """
 
 from __future__ import annotations
@@ -116,34 +112,32 @@ import numpy as np
 
 from .errors import DomainError
 
-# Factors per chunk of the grids, and per column block of a long row:
-# 256 KiB per float64 array, so the few arrays a chunk keeps alive fit
-# in L2.  Of 2^14..2^16, 2^15 ran the quadrature grids fastest within
-# L2 on a 2-core Xeon with 2 MiB of L2 per core; 2^16 gained 3 % more
-# at 2 MiB a chunk, and 2^14 lost 10 % to the reduction's per-block
-# calls.
+# Factors formed at once, 256 KiB per float64 array, and _K times the
+# pieces of a block.  Each Horner step is two numpy calls across all
+# pieces of a block, so a wide block pays their overhead less often: on
+# a 2-core Xeon the three 2^14-point quadrature grids took about 55 ms
+# at 2^15 and 52 ms at 2^16, and 134 ms at 2^14, where their 2^15-entry cosine
+# tables fall past the table rule of ``_rational_rows``
 _CHUNK_FACTORS = 1 << 15
 
-# The float route (``_factors``): columns per segment of the angle
-# addition, the magnitude under which a factor is recomputed as a sine
-# product, Dekker's splitter for float64, and the largest color, for
-# which every phase x (c + j) has c + j < 2^26
-_T = 128
+# The reduction (module docstring): factors per piece, also the float
+# route's angle-addition segment, and the factors per group of a piece's
+# product.  Pieces of 256 ran the quadrature grids no faster and pad
+# the rows of N = 300 to 512 factors
+_L = 128
+_K = 8
+_PIECES = _CHUNK_FACTORS // _K
+_LN2 = float(np.log(2.0))
+# the exponent of a zero mantissa, below every other, so a zero term
+# never sets the scale of a sum
+_ZERO = -(1 << 40)
+
+# The float route (``_factors``): the magnitude under which a factor is
+# recomputed as a sine product, Dekker's splitter for float64, and the
+# largest color, for which every phase x (c + j) has c + j < 2^26
 _TAU = 2.0 ** -16
 _SPLIT = 2.0 ** 27 + 1.0
 _MAX_FLOAT_COLOR = 1 << 25
-
-# The reduction (module docstring): columns per segment, binary orders
-# per bin, and the bins a row keeps, the top one and those below it
-_S = 128
-_BIN = 512
-_BINS = 4
-_LN2 = float(np.log(2.0))
-_DOWN = (np.arange(_BINS) + 1 - _BINS) * _BIN  # the kept bins' moves to the top
-# A segment max below -_BINS _BIN ln 2, a dead one's -inf among them,
-# lies _BINS bins or more below f(0) = 1 and so below every row's kept
-# bins: it is raised to this floor, which keeps its scale finite
-_FLOOR = -_BINS * _BIN * _LN2
 
 
 def current_backend() -> str:
@@ -200,66 +194,70 @@ def _sin_pi(xh, xl, m):
     return p
 
 
+def _columns(j0, T, n):
+    """The factor indices j = j0 + pL + t + 1 of a block of n pieces, t < T,
+    laid out (t, piece, 1) as the blocks are."""
+    return (j0 + 1 + np.arange(T))[:, None, None] + _L * np.arange(n)[:, None]
+
+
+def _near(g, tmp):
+    """Flat indices of the factors of g under ``_TAU`` in magnitude; tmp is
+    a float scratch of g's shape."""
+    a = np.abs(g, out=tmp)
+    return np.flatnonzero(a < _TAU) if a.min() < _TAU else []
+
+
 def _factors(cs, xs):
     """Float-route factors at t = exp(2 pi i x) for the paired colors c
-    of cs and positions x of xs, as a ``fill`` for ``_prefix_blocks``:
-    fill(a, b, out, tmp) writes the rows' g(j), j = a+1..b, into out
-    and returns it, using tmp (out's shape) as scratch.
+    of cs and positions x of xs, as a fill: fill(j0, n) prepares a block
+    of n pieces from j0 on and returns part(t0, out, tmp), which writes
+    the rows' g(j0 + pL + t0 + t + 1) into out, of shape
+    (t, piece, row), and returns it, using tmp (out's shape) as scratch.
 
     x is folded exactly (``_fold_x``) and split (``_split``), and
-    j = _T s + i: 2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s, from
-    tables C2[i] = 2 cos(2 pi x i), S2[i] = 2 sin(2 pi x i), i < _T, and
-    the angles A_s = 2 pi x _T s of each block's segments, every phase
-    reduced by ``_turns``.  The rows share one table when they share
-    their x (a cable profile), else each has its own; tables are tiled
-    along j, so a block's columns take one contiguous slice of them.
-    g(c) takes the same formula at j = c, so a shorter row's g(c) is
-    exactly 0.0.  A factor under ``_TAU`` in magnitude is recomputed as
-    -4 sin(pi x (c + j)) sin(pi x (c - j)) (``_sin_pi``).  Every
-    c + j must stay below 2^26, so colors above ``_MAX_FLOAT_COLOR``
-    raise DomainError."""
+    j = _L s + i, i in 1.._L: 2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s,
+    from tables C2[i] = 2 cos(2 pi x i), S2[i] = 2 sin(2 pi x i) and the
+    angles A_s = 2 pi x _L s of each block's pieces, every phase reduced
+    by ``_turns``.  The rows share one table when they share their x (a
+    cable profile), else each has its own; Horner step t takes entry
+    t + 1 for every piece.  g(c) takes the same formula at j = c, so a
+    shorter row's g(c) is exactly 0.0.  A factor under ``_TAU`` in
+    magnitude is recomputed as -4 sin(pi x (c + j)) sin(pi x (c - j))
+    (``_sin_pi``).  Every c + j must stay below 2^26, so colors above
+    ``_MAX_FLOAT_COLOR`` raise DomainError."""
     cmax = int(cs.max(initial=1))
     if cmax > _MAX_FLOAT_COLOR:
         raise DomainError(f"color {cmax} at a non-dyadic x is past the float route's "
                           f"exact phases", interval=f"N <= {_MAX_FLOAT_COLOR}")
-    rows = len(cs)
     xs = _fold_x(xs)
     xh, xl = _split(xs)
     u = slice(0, 1) if (xs == xs[0]).all() else slice(None)
-    t = min(_T, cmax + 1)
-    cos, sin = _angle(_turns(xh[u, None], xl[u, None], np.arange(float(t))))
-    # columns i..i+w-1 of the tiled tables, i < t, for the widest block
-    reps = -(-(t - 1 + min(cmax - 1, _block_width(rows))) // t)
-    c2, s2 = np.tile(2.0 * cos, (1, reps)), np.tile(2.0 * sin, (1, reps))
-    ca, sa = _angle(_turns(xh, xl, (cs // _T * _T).astype(np.float64)))
-    r = np.arange(rows) % len(c2)
-    gc = c2[r, cs % _T] * ca - s2[r, cs % _T] * sa
+    # tables of shape (i, 1, row), i = 1.._L
+    cos, sin = _angle(_turns(xh[u], xl[u], np.arange(1.0, _L + 1)[:, None, None]))
+    c2, s2 = 2.0 * cos, 2.0 * sin
+    s, i = np.divmod(cs - 1, _L)
+    ca, sa = _angle(_turns(xh, xl, s * float(_L)))
+    r = np.arange(len(cs)) % c2.shape[2]
+    gc = c2[i, 0, r] * ca - s2[i, 0, r] * sa
 
-    def fill(a, b, out, tmp):
-        s0 = (a + 1) // _T
-        ca, sa = _angle(_turns(xh[:, None], xl[:, None], np.arange(s0, b // _T + 1) * float(_T)))
-        # cos A_s and sin A_s over their segments' columns, in runs of
-        # whole segments or of one partial one, each a (rows, segments,
-        # columns) view of out and tmp
-        j = a + 1
-        while j <= b:
-            s, i = divmod(j, _T)
-            k, w = (1, min(_T - i, b + 1 - j)) if i or b + 1 - j < _T else ((b + 1 - j) // _T, _T)
-            o = j - a - 1
-            np.copyto(out[:, o:o + k * w].reshape(rows, k, w), ca[:, s - s0:s - s0 + k, None])
-            np.copyto(tmp[:, o:o + k * w].reshape(rows, k, w), sa[:, s - s0:s - s0 + k, None])
-            j += k * w
-        i = (a + 1) % _T
-        out *= c2[:, i:i + b - a]
-        tmp *= s2[:, i:i + b - a]
-        np.subtract(out, tmp, out=out)
-        g = np.subtract(gc[:, None], out, out=out)
-        hit = np.flatnonzero(np.abs(g, out=tmp) < _TAU)
-        if hit.size:
-            r, col = np.divmod(hit, g.shape[1])
-            h, l, c, j = xh[r], xl[r], cs[r], col + (a + 1.0)
-            g[r, col] = -4.0 * _sin_pi(h, l, c + j) * _sin_pi(h, l, c - j)
-        return g
+    def fill(j0, n):
+        # the angles of the pieces, (piece, row)
+        ca, sa = _angle(_turns(xh, xl, (j0 + _L * np.arange(n, dtype=np.float64))[:, None]))
+
+        def part(t0, out, tmp):
+            v = slice(t0, t0 + len(out))
+            np.multiply(c2[v], ca, out=out)
+            np.multiply(s2[v], sa, out=tmp)
+            np.subtract(out, tmp, out=out)
+            g = np.subtract(gc, out, out=out)
+            hit = _near(g, tmp)
+            if len(hit):
+                t, p, r = np.unravel_index(hit, g.shape)
+                h, l, c, j = xh[r], xl[r], cs[r], (j0 + t0 + 1.0) + t + _L * p
+                g.flat[hit] = -4.0 * _sin_pi(h, l, c + j) * _sin_pi(h, l, c - j)
+            return g
+
+        return part
 
     return fill
 
@@ -275,15 +273,21 @@ def _twocos(q, Q, out=None):
     return t
 
 
-def _fold(q, Q, tmp=None):
-    """Integer phases min(q mod Q, Q - q mod Q), in place, tmp an
-    optional scratch of q's shape.  For the power-of-two Q of dyadic
+def _mod(q, Q):
+    """Integer phases q mod Q, in place.  For the power-of-two Q of dyadic
     points a mask replaces the division, which costs about eight times
     as much per element."""
     if Q & (Q - 1):
         q %= Q
     else:
         q &= Q - 1
+    return q
+
+
+def _fold(q, Q, tmp=None):
+    """Integer phases min(q mod Q, Q - q mod Q), in place, tmp an
+    optional scratch of q's shape."""
+    _mod(q, Q)
     return np.minimum(q, np.subtract(Q, q, out=tmp), out=q)
 
 
@@ -298,35 +302,50 @@ def _live(c, k, Q):
 
 def _rational_rows(c, k, Q):
     """Live lengths (``_live``) of the colors of array c at x = k/Q on
-    rational phases, k an int or an array of c's shape, and the
-    ``_prefix_blocks`` fill of the rows of an index array i, by
-    rows(i)(a, b, out, tmp)."""
+    rational phases, k an int or an array of c's shape, and the fill of
+    the rows of an index array i, by rows(i), as for ``_factors``."""
     live = _live(c, k, Q)
     # a table when it costs no more cosines than the rows would take
     # directly, one per live factor and one per row for g(c), and holds
     # no more than a block or one entry per color, so a long lone row
-    # keeps O(block) memory
-    if Q // 2 + 1 <= min(int(live.sum()), max(_block_width(1), len(c))):
-        tab = _twocos(np.arange(Q // 2 + 1), Q)
-        cos = lambda q, out: tab.take(q, out=out, mode="clip")
+    # keeps O(block) memory.  It is spread over a whole period, tab[q]
+    # for every q mod Q, so a phase needs no fold
+    if Q // 2 + 1 <= min(int(live.sum()), max(_CHUNK_FACTORS, len(c))):
+        tab = _twocos(np.arange(Q // 2 + 1), Q)[_fold(np.arange(Q), Q)]
+        cos = lambda q, out: tab.take(_mod(q, Q), out=out, mode="clip")
     else:
-        cos = lambda q, out: _twocos(q, Q, out)
-    gc = cos(_fold(c * k, Q), None)
-    if np.ndim(k) == 0:
-        # one row of cosines 2cos(2 pi q_j/Q) serves every chunk of
-        # several rows, which is at most a block wide, and the first
-        # block of a lone row; later blocks take their own phases
-        head = cos(_fold(k * np.arange(1, min(int(live.max(initial=1)), _block_width(1) + 1),
-                                       dtype=np.int64), Q), None)
+        cos = lambda q, out: _twocos(_fold(q, Q, None if out is None else out.view(np.int64)), Q, out)
+    qc = _fold(c * k, Q)
+    gc = cos(c * k, None)
+    scalar = np.ndim(k) == 0
+    if scalar:
+        # one block of cosines 2cos(2 pi q_j/Q), laid out (t, piece, 1),
+        # serves every chunk of several rows, which is at most a block,
+        # and the first block of a lone row; later blocks take their own
+        n = min(-(-int(live.max(initial=1) - 1) // _L), _CHUNK_FACTORS // _L)
+        head = cos(k * _columns(0, _L, max(n, 1)), None)
 
     def rows(i):
-        gi, ki = gc[i, None], k if np.ndim(k) == 0 else k[i, None]
+        gi, qi, ki = gc[i], qc[i], k if scalar else k[i]
 
-        def fill(a, b, out, tmp):
-            if np.ndim(k) == 0 and b <= len(head):
-                return np.subtract(gi, head[a:b], out=out)
-            q = np.multiply(ki, np.arange(a + 1, b + 1, dtype=np.int64), out=tmp.view(np.int64))
-            return np.subtract(gi, cos(_fold(q, Q, out.view(np.int64)), out), out=out)
+        def fill(j0, n):
+            whole = scalar and not j0 and n <= head.shape[1]
+
+            def part(t0, out, tmp):
+                if whole:
+                    g = np.subtract(gi, head[t0:t0 + len(out), :n], out=out)
+                else:
+                    q = np.multiply(ki, _columns(j0 + t0, len(out), n), out=tmp.view(np.int64))
+                    g = np.subtract(gi, cos(q, out), out=out)
+                hit = _near(g, tmp)
+                if len(hit):
+                    t, p, r = np.unravel_index(hit, g.shape)
+                    qj = _fold((k if scalar else ki[r]) * (j0 + t0 + 1 + t + _L * p), Q)
+                    s, d = qi[r] + qj, qi[r] - qj
+                    g.flat[hit] = -4.0 * np.sin(np.minimum(s, Q - s) * np.pi / Q) * np.sin(d * np.pi / Q)
+                return g
+
+            return part
 
         return fill
 
@@ -341,152 +360,113 @@ def _rational(c, k, Q):
     return _rows(live - 1, rows)
 
 
-def _pad(n):
-    """n rounded up to whole segments of the reduction."""
-    return -(-n // _S) * _S
+def _norm(m, e):
+    """(mantissa, exponent) of m 2^e, the mantissa in [1/2, 1) by frexp,
+    or 0 with exponent ``_ZERO``."""
+    m, d = np.frexp(m)
+    e = np.add(e, d, dtype=np.int64)
+    np.putmask(e, m == 0.0, _ZERO)
+    return m, e
 
 
-def _block_width(rows):
-    """Prefix columns per block of the core: ``_CHUNK_FACTORS // rows``
-    factors and f(0), rounded up to whole segments, so that a chunk of
-    the grids is a single block and its numpy calls see whole contiguous
-    arrays.  Only a lone row longer than ``_CHUNK_FACTORS`` takes several
-    blocks."""
-    return _pad(_CHUNK_FACTORS // rows + 1)
+def _horner(part, T, shape, buf):
+    """The affine maps h -> b + a h of the pieces of a block of T factor
+    rows, laid out (t, piece, row) with (piece, row) of the given shape
+    and formed a part of rows at a time, at most ``_CHUNK_FACTORS``
+    factors and a multiple of ``_K`` rows, by part(t0, out, tmp) in the
+    two flat buffers of buf.  b takes backward Horner steps from row
+    T - 1, a the product of the rows in groups of ``_K``, each group's
+    product split by frexp, so no partial product leaves the normal
+    range.  Returns (b, eb, a, ea), b = mb 2^eb and a = ma 2^ea with
+    normalized mantissas (``_norm``)."""
+    m = shape[0] * shape[1]
+    h = max(_CHUNK_FACTORS // m // _K * _K, _K)
+    b, one, a, ea = np.zeros(m), np.ones(m), np.ones(m), np.zeros(m, dtype=np.int64)
+    for t0 in range((T - 1) // h * h, -1, -h):
+        w = min(h, T - t0)
+        g = part(t0, *(v[:w * m].reshape(w, *shape) for v in buf)).reshape(w, m)
+        for gt in g[::-1]:
+            np.multiply(b, gt, out=b)
+            np.add(b, one, out=b)
+        for u in range((w - 1) // _K * _K, -1, -_K):
+            p, e = np.frexp(np.multiply.reduce(g[u:u + _K]))
+            a *= p
+            ea += e
+    return (*_norm(b, 0), *_norm(a, ea))
 
 
-def _buffers(shapes):
-    """Flat buffers for the largest block of the chunks of shapes, each
-    (rows, n): prefix parities (bool) and logs, and two factor buffers,
-    the second also holding ``_reduce``'s sign-bit words, all views of
-    one allocation.  As separate arrays, freed together after each call,
-    glibc's malloc handed them back to the system and the next call
-    faulted them in again: some 60 minor faults per ``jones_grid_exact``
-    call at N = 3000, against none."""
-    p = max((rows * min(_block_width(rows), _pad(n + 1)) for rows, n in shapes), default=0)
-    logs, gb, tb, pars = np.split(np.empty(3 * p + (p + 7) // 8), np.cumsum([p, p, p]))
-    return pars.view(np.bool_)[:p], logs, gb, tb
+def _compose(left, right):
+    """The map left(right(h)) of two maps (b, eb, a, ea) (``_horner``):
+    b_l 2^eb_l + a_l b_r 2^(ea_l + eb_r), summed at the larger exponent,
+    and a_l a_r."""
+    bl, ebl, al, eal = left
+    br, ebr, ar, ear = right
+    x, ex = al * br, eal + ebr
+    # the product's rounding error, exactly (Dekker), so that a sum that
+    # cancels rounds once
+    (ah, at), (bh, bt) = _split(al), _split(br)
+    dx = ((ah * bh - x) + ah * bt + at * bh) + at * bt
+    e = np.maximum(ebl, ex)
+    b = np.ldexp(bl, ebl - e)
+    b += np.ldexp(x, ex - e)
+    b += np.ldexp(dx, ex - e)
+    return (*_norm(b, e), *_norm(al * ar, eal + ear))
 
 
-def _prefix_blocks(fill, rows, n, store, gb, tb):
-    """Row-wise log-prefixes (parities, log|f(k)|), k = 0..n, of the
-    partial products f(k) = g(1)...g(k), f(0) = 1, of the n factors a
-    row that fill(a, b, out, tmp) writes, j = a+1..b, into out, yielded
-    one column block (``_block_width``) at a time as (k, b, parities,
-    logs) for prefix columns k..b, in the arrays store(k, b) returns for
-    those columns, or wider: their columns past b are set to +0.0 terms,
-    parity False and log -inf.  A parity is True where f(k) has an odd
-    number of negative factors (module docstring).  Factors are built in
-    gb and tb, two flat buffers, and their g < 0 in a bool view of tb;
-    each block's first log and parity take the row's prefix before the
-    block, so cumsum and the xor accumulate run the same sequential
-    recurrences as over the whole row.  The carried prefix is a copy, so
-    the consumer may overwrite a yielded block.  A vanished factor's
-    log|0| = -inf carries through the cumsum, so dead prefixes read
-    -inf."""
-    w = _block_width(rows)
-    m = min(w, n)
-    gbuf, tbuf = gb[:rows * m].reshape(rows, m), tb[:rows * m].reshape(rows, m)
-    nbuf = tb.view(np.bool_)[:rows * m].reshape(rows, m)
-    for k in range(0, n + 1, w):
-        # factors j = a+1..b make prefix columns k..b; block 0 also holds
-        # f(0) = 1
-        a, b = max(k - 1, 0), min(k + w, n + 1) - 1
-        par, log = store(k, b)
-        if not k:
-            par[:, 0], log[:, 0] = False, 0.0
-        if b > a:
-            g = fill(a, b, gbuf[:, :b - a], tbuf[:, :b - a])
-            neg = np.less(g, 0.0, out=nbuf[:, :b - a])
-            if k:
-                neg[:, 0] ^= carry_par
-            np.logical_xor.accumulate(neg, axis=1, out=par[:, a + 1 - k:b + 1 - k])
-            with np.errstate(divide="ignore"):
-                np.log(np.abs(g, out=g), out=g)
-            if k:
-                g[:, 0] += carry_log
-            np.cumsum(g, axis=1, out=log[:, a + 1 - k:b + 1 - k])
-        par[:, b + 1 - k:], log[:, b + 1 - k:] = False, -np.inf
-        carry_par, carry_log = par[:, b - k].copy(), log[:, b - k].copy()
-        yield k, b, par, log
+def _tree(maps):
+    """Row-wise composite of the maps (b, eb, a, ea), each of shape
+    (piece, row), in the fixed pairwise order of the module docstring."""
+    while len(maps[0]) > 1:
+        n = len(maps[0])
+        pair = _compose([v[0:n - 1:2] for v in maps], [v[1:n:2] for v in maps])
+        maps = [np.concatenate([u, v[n - 1:]]) if n % 2 else u for u, v in zip(pair, maps)]
+    return [v[0] for v in maps]
 
 
-def _reduce(blocks, rows, words):
-    """Row-wise (signs, log|sum_k f(k)|) of the (k, b, parities, logs)
-    blocks of ``_prefix_blocks``, each reduced as it is made (module
-    docstring, Reduction).  Overwrites each block; ``words``, a flat
-    buffer as large as a block, takes the sign-bit words."""
-    top, acc = None, np.zeros((rows, _BINS))  # bins top - _BINS + 1 .. top
-    for k, b, par, log in blocks:
-        f = log.reshape(rows, -1, _S)
-        # segment maxima; reduceat takes half the time of f.max(axis=2)
-        m = np.maximum.reduceat(log.reshape(-1), np.arange(0, log.size, _S)).reshape(rows, -1)
-        e = np.ceil(np.maximum(m, _FLOOR) / _LN2)
-        bins, up = np.divmod(e.astype(np.int64), _BIN)  # and moves up into them
-        hi = bins.max(axis=1) if top is None else np.maximum(top, bins.max(axis=1))
-        slot = bins - (hi - _BINS + 1)[:, None]
-        if top is not None:
-            if (slot < 0).all():
-                continue
-            # the kept bins move up with the top; a bin that leaves them
-            # stays _BINS or more below every later top
-            d = (hi - top)[:, None] + np.arange(_BINS)
-            acc = np.where(d < _BINS, np.take_along_axis(acc, np.minimum(d, _BINS - 1), axis=1), 0.0)
-        top = hi
-        f -= (e * _LN2)[:, :, None]
-        # numpy's exp takes a slow path on inputs that underflow, -inf
-        # among them, so the columns past b are written as +0.0
-        np.exp(log[:, :b + 1 - k], out=log[:, :b + 1 - k])
-        log[:, b + 1 - k:] = 0.0
-        # every term is >= +0.0 here, so OR-ing parity << 63 into its
-        # bits gives it the sign of f(k); a +-0.0 past a vanished factor
-        # moves no bit of a nonzero sum, and a zero sum reads sign 0
-        bits = np.left_shift(par, np.uint64(63), out=words.view(np.uint64)[:par.size].reshape(par.shape))
-        u = log.view(np.uint64)
-        u |= bits
-        sums = np.ldexp(np.add.reduce(f, axis=2), up)
-        r, s = np.nonzero(slot >= 0)
-        # unbuffered, in index order: each bin adds its segments in
-        # column order
-        np.add.at(acc, (r, slot[r, s]), sums[r, s])
-    # the bins in ascending order, a sequential sum
-    total = np.cumsum(np.ldexp(acc, _DOWN), axis=1)[:, -1]
-    with np.errstate(divide="ignore"):
-        return np.sign(total).astype(np.int8), top * _BIN * _LN2 + np.log(np.abs(total))
-
-
-def _chunks(lengths):
-    """Slices of consecutive rows, factor counts ``lengths`` ascending,
-    each of at most ``_CHUNK_FACTORS`` factors with every row counted at
-    the chunk's longest (at least one row)."""
+def _chunks(pieces):
+    """Slices of consecutive rows, piece counts ``pieces`` ascending, each
+    of at most ``_PIECES`` pieces with every row counted at the chunk's
+    longest (at least one row)."""
     a = 0
-    while a < len(lengths):
-        # the rows that fit at the first length bound where the chunk can
-        # end, and the length there bounds every row it can hold
-        end = min(a + max(1, _CHUNK_FACTORS // max(lengths[a], 1)), len(lengths))
-        b = a + max(1, _CHUNK_FACTORS // max(lengths[end - 1], 1))
+    while a < len(pieces):
+        # the rows that fit at the first count where the chunk can end,
+        # and the count there bounds every row it can hold
+        end = min(a + max(1, _PIECES // pieces[a]), len(pieces))
+        b = a + max(1, _PIECES // pieces[end - 1])
         yield slice(a, b)
         a = b
 
 
 def _rows(lengths, rows_fill):
     """Row-wise (signs, log|J|) of rows of lengths[i] factors, where
-    rows_fill(i) is the ``_prefix_blocks`` fill of the rows of index
-    array i.  Sorted by length, the rows share ``_chunks``, whose
-    buffers are allocated once."""
+    rows_fill(i) is the fill of the rows of index array i (``_factors``).
+    Sorted by length, the rows share ``_chunks``, whose buffers are
+    allocated once."""
+    pieces = -(-lengths // _L)
     order = np.argsort(lengths, kind="stable")
-    chunks = [order[sl] for sl in _chunks(lengths[order].tolist())]
-    shapes = [(len(i), int(lengths[i[-1]])) for i in chunks]
-    pars, logs, gb, tb = _buffers(shapes)
+    chunks = [order[sl] for sl in _chunks(np.maximum(pieces[order], 1).tolist())]
+    size = max((len(i) * min(max(int(pieces[i[-1]]), 1), _PIECES) for i in chunks), default=0)
+    buf = np.split(np.empty(2 * min(_L * size, _CHUNK_FACTORS)), 2)
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
-    for i, (rows, n) in zip(chunks, shapes):
-        def store(k, b):
-            w = _pad(b + 1 - k)
-            return pars[:rows * w].reshape(rows, w), logs[:rows * w].reshape(rows, w)
-
-        blocks = _prefix_blocks(rows_fill(i), rows, n, store, gb, tb)
-        sgn[i], log[i] = _reduce(blocks, rows, tb)
+    for i in chunks:
+        rows, fill = len(i), rows_fill(i)
+        # a row of n < _L factors takes steps from g(n + 1) on
+        T, P = min(_L, int(lengths[i[-1]]) + 1), max(int(pieces[i[-1]]), 1)
+        roots = []
+        for p0 in range(0, P, _PIECES):
+            n = min(P - p0, _PIECES)
+            maps = [v.reshape(n, rows) for v in _horner(fill(p0 * _L, n), T, (n, rows), buf)]
+            # pieces past a row's last are the identity h -> h
+            past = (p0 + np.arange(n))[:, None] >= pieces[i]
+            for v, unit in zip(maps, (0.0, _ZERO, 0.5, 1)):
+                np.putmask(v, past, unit)
+            roots.append(_tree(maps))
+        b, eb, _, _ = _compose(_tree([np.stack(v) for v in zip(*roots)]),
+                               (0.5, 1, 0.0, _ZERO))  # applied to h = 1
+        sgn[i] = np.sign(b)
+        with np.errstate(divide="ignore"):
+            log[i] = np.log(np.abs(b)) + eb * _LN2
     return sgn, log
 
 
@@ -506,8 +486,8 @@ def _ratio(xs):
 
 
 def _lone(N, x):
-    """The live length and ``_prefix_blocks`` fill of the lone row of
-    color N at x, on the route ``jones_grid`` takes for the point."""
+    """The live length and fill of the lone row of color N at x, on the
+    route ``jones_grid`` takes for the point."""
     c, xs = np.array([N]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
         (k,), (Q,) = _ratio(xs)
@@ -523,21 +503,36 @@ def jones_scan(N: int, x: float) -> tuple[int, float]:
     return int(s), l
 
 
+def _prefix_blocks(fill, n):
+    """The factors g(1..n) of a lone row's fill, in column order, up to
+    ``_CHUNK_FACTORS`` at a time, as (j0, g)."""
+    T, w = max(min(_L, n), 1), _CHUNK_FACTORS // _L
+    block, tmp = np.split(np.empty(2 * T * min(w, -(-n // T))), 2)
+    for j0 in range(0, n, w * _L):
+        m = min(w, -(-(n - j0) // T))
+        g = fill(j0, m)(0, block[:T * m].reshape(T, m, 1), tmp[:T * m].reshape(T, m, 1))
+        yield j0, g[:, :, 0].T.ravel()[:n - j0]
+
+
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N,
     the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
     _, fill = _lone(N, x)
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
-    # every block is written into the result arrays.  Each block's
-    # parities become signs in place as it is formed, so no temporary
-    # grows with N
-    store = lambda k, b: (sgnf.view(np.bool_)[None, k:b + 1], logf[None, k:b + 1])
-    gb, tb = np.split(np.empty(2 * min(_block_width(1), N - 1)), 2)
-    for k, b, _, log in _prefix_blocks(fill, 1, N - 1, store, gb, tb):
-        s = sgnf[k:b + 1]
-        s *= -2
-        s += 1
-        s *= log[0] > -np.inf  # 0 where a factor vanished
+    sgnf[0], logf[0] = 1, 0.0
+    # each block's first log and sign take the row's prefix before it,
+    # so cumsum and cumprod run the same sequential recurrences as over
+    # the whole row; a vanished factor's log|0| = -inf and sign 0 carry
+    for j0, g in _prefix_blocks(fill, N - 1):
+        k = slice(j0 + 1, j0 + 1 + len(g))
+        s = np.sign(g)
+        s[0] *= sgnf[j0]
+        np.cumprod(s, out=s)
+        sgnf[k] = s
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(g, out=g), out=g)
+        g[0] += logf[j0]
+        np.cumsum(g, out=logf[k])
     return sgnf, logf
 
 

@@ -133,8 +133,9 @@ def partial_product_f(k: int, p: EvaluationPoint) -> SignedLogValue:
 def colored_jones(p: EvaluationPoint) -> SignedLogValue:
     """J_N(E; exp(2 pi i x)) as a SignedLogValue.
 
-    Sum of the partial products f(0..N-1), accumulated by peeling the
-    maximal log magnitude and summing signed ratios in a fixed order.
+    Sum of the partial products f(0..N-1), taken by Horner's rule over
+    fixed pieces of the factors with magnitudes kept as mantissas and
+    exponents (``_kernels``).
     The result is exactly real: each factor pair of the defining product
     multiplies to the real number g(j) on the unit circle.
     """

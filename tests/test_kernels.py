@@ -79,10 +79,10 @@ class TestScanAgreement:
     def test_near_root_factors_take_the_sine_product(self, monkeypatch):
         # every factor with |g| < _TAU as a cosine difference, and only
         # those, is recomputed as a sine product: near j = 0 and in later
-        # blocks ((40000, 2.5/40000) has a root at j = 24000, in the
-        # second block).  Raised past every |g| <= 4, the threshold sends
-        # every factor to the sine product, in every block, and away from
-        # roots the two forms agree to rounding
+        # blocks ((1.1e6, 2/1.1e6) has a root at j = 550000, in the
+        # second block of a scan).  Raised past every |g| <= 4, the
+        # threshold sends every factor to the sine product, in every
+        # block, and away from roots the two forms agree to rounding
         refined = []
         sin_pi, tau = _kernels._sin_pi, _kernels._TAU
 
@@ -91,31 +91,54 @@ class TestScanAgreement:
             return sin_pi(xh, xl, m)
 
         monkeypatch.setattr(_kernels, "_sin_pi", spy)
-        cases = [(194, 0.995), (501, 0.95 / 501), (40000, 1.0 / 40000), (40000, 2.5 / 40000)]
+        cases = [(194, 0.995), (501, 0.95 / 501), (40000, 1.0 / 40000), (1_100_000, 2.0 / 1_100_000)]
         want, hits = [], 0
         for N, x in cases:
             refined.clear()
             want.append(_kernels.jones_scan(N, x))
-            # _sin_pi gets c + j, then c - j, per refined batch
+            # _sin_pi gets c + j, then c - j, per refined batch; the scan
+            # forms the factors of its last piece up to a multiple of _L
             got = set((np.concatenate(refined[0::2] or [[]]) - N).astype(int).tolist())
-            # the kernel's cosine differences, block by block as a scan
-            # forms them, under a threshold that refines none of them
+            got = {j for j in got if j < N}
+            # the kernel's cosine differences, under a threshold that
+            # refines none of them
             monkeypatch.setattr(_kernels, "_TAU", 0.0)
-            fill, w = _kernels._factors(np.array([N]), np.array([x])), _kernels._block_width(1)
-            g = np.concatenate([fill(a, min(a + w, N - 1), *np.empty((2, 1, min(w, N - 1 - a))))[0]
-                                for a in range(0, N - 1, w)])
+            g = row_factors(_kernels._factors(np.array([N]), np.array([x])), N - 1)
             monkeypatch.setattr(_kernels, "_TAU", tau)
             near = set((np.flatnonzero(np.abs(g) < tau) + 1).tolist())
             assert got == near, (N, x, sorted(got ^ near)[:5])
             hits += len(near)
-        assert hits > 0 and max(got) > w
+        assert hits > 0 and max(got) > _kernels._PIECES * _kernels._L
         monkeypatch.setattr(_kernels, "_TAU", 8.0)
         for (N, x), (s, l) in zip(cases, want):
             refined.clear()
             got = _kernels.jones_scan(N, x)
-            assert sum(len(m) for m in refined[0::2]) == N - 1, (N, x)
+            assert set(range(1, N)) <= set((np.concatenate(refined[0::2]) - N).astype(int).tolist())
             assert got[0] == s, (N, x)
             assert abs(got[1] - l) <= 1e-11 * max(1.0, abs(l)), (N, x)
+
+    def test_dyadic_near_root_factors_take_the_sine_product(self):
+        # dyadic x take the rational route, whose factors under _TAU are
+        # recomputed from the integer phases: next to the float route's
+        # (194, 0.995), (90, 0.99) and (81, 0.99), the binary x rounded
+        # to 40 bits must agree with 60-digit mpmath, sign included (as
+        # cosine differences they missed by 1.2e-6, 7.2e-7 and 4.1e-7)
+        import mpmath
+
+        for N, r in ((194, 0.995), (90, 0.99), (81, 0.99)):
+            x = round(r * 2**40) / 2**40
+            assert _kernels._dyadic(np.array([N]), np.array([x]))[0]
+            with mpmath.workdps(60):
+                xm = mpmath.mpf(x)
+                gN = 2 * mpmath.cos(2 * mpmath.pi * xm * N)
+                z = prod = mpmath.mpf(1)
+                for j in range(1, N):
+                    prod *= gN - 2 * mpmath.cos(2 * mpmath.pi * xm * j)
+                    z += prod
+                want = float(mpmath.log(abs(z)))
+            s, l = _kernels.jones_scan(N, x)
+            assert s == int(mpmath.sign(z)), (N, x)
+            assert abs(l - want) <= 1e-11 * max(1.0, abs(want)), (N, x, l - want)
 
     def test_float_route_phases_are_exact_up_to_its_color_limit(self):
         # x*n less its nearest integer, for n up to 2^26 - 1, the largest
@@ -187,14 +210,16 @@ class TestScanAgreement:
 
 def unblocked(N, x):
     # the whole row at once, on the kernel's route for (N, x).  A
-    # dyadic x (x = y/2^e, e + bit_length(N) <= 53, so every x*j is
-    # exact) takes twice the cosine of the folded exact phase.  Any
-    # other x is folded exactly and split, x = xh + xl with halves of
-    # 26 bits, and j = 128 s + i: 2cos(2 pi x j) = C2[i] cos A_s -
-    # S2[i] sin A_s, every phase x*n reduced to its distance from the
-    # nearest integer, and a factor under 2^-16 in magnitude is
-    # recomputed as -4 sin(pi x (N + j)) sin(pi x (N - j)).  Then sign
-    # cumprod and log cumsum: the row's prefix signs and logs
+    # dyadic x = k/Q (Q = 2^e, e + bit_length(N) <= 53, so every x*j is
+    # exact) takes twice the cosine of the folded exact phase, and a
+    # factor under 2^-16 in magnitude is recomputed from the folded
+    # integer phases as -4 sin(pi (q_N + q_j)/Q) sin(pi (q_N - q_j)/Q).
+    # Any other x is folded exactly and split, x = xh + xl with halves of
+    # 26 bits, and j = 128 s + i, i in 1..128: 2cos(2 pi x j) = C2[i]
+    # cos A_s - S2[i] sin A_s, every phase x*n reduced to its distance
+    # from the nearest integer, and a factor under 2^-16 in magnitude is
+    # recomputed as -4 sin(pi x (N + j)) sin(pi x (N - j)).  Returns the
+    # factors g(1..N-1)
     x = abs(x) % 1.0
     x = min(x, 1.0 - x)
     j = np.arange(1, N + 1)  # column N is g(N)'s own cosine
@@ -204,32 +229,38 @@ def unblocked(N, x):
         u -= np.floor(u)
         twocos = 2.0 * np.cos(2.0 * np.pi * np.minimum(u, 1.0 - u))
         g = twocos[-1] - twocos[:-1]
-    else:
-        t = (2.0**27 + 1.0) * x
-        xh = t - (t - x)
-        xl = x - xh
-
-        def turns(n):
-            p = xh * n
-            p -= np.rint(p)
-            p += xl * n
-            return p - np.rint(p)
-
-        def sin_pi(m):
-            p = xh * m
-            n = np.rint(p)
-            p = np.sin(np.pi * (p - n + xl * m))
-            return np.where(n % 2.0 == 1.0, -p, p)
-
-        s, i = np.divmod(j, 128)
-        b = 2.0 * np.pi * turns(np.arange(128.0))
-        a = 2.0 * np.pi * turns(128.0 * s)
-        twocos = (2.0 * np.cos(b))[i] * np.cos(a) - (2.0 * np.sin(b))[i] * np.sin(a)
-        g = twocos[-1] - twocos[:-1]
+        k, Q = x.as_integer_ratio()
+        q = k * j % Q
+        q = np.minimum(q, Q - q)
         near = np.abs(g) < 2.0**-16
-        m = j[:-1][near].astype(np.float64)
-        g[near] = -4.0 * sin_pi(N + m) * sin_pi(N - m)
-    return prefixes(g)
+        s, d = q[-1] + q[:-1][near], q[-1] - q[:-1][near]
+        g[near] = -4.0 * np.sin(np.minimum(s, Q - s) * np.pi / Q) * np.sin(d * np.pi / Q)
+        return g
+    t = (2.0**27 + 1.0) * x
+    xh = t - (t - x)
+    xl = x - xh
+
+    def turns(n):
+        p = xh * n
+        p -= np.rint(p)
+        p += xl * n
+        return p - np.rint(p)
+
+    def sin_pi(m):
+        p = xh * m
+        n = np.rint(p)
+        p = np.sin(np.pi * (p - n + xl * m))
+        return np.where(n % 2.0 == 1.0, -p, p)
+
+    s, i = np.divmod(j - 1, 128)
+    b = 2.0 * np.pi * turns(np.arange(1.0, 129.0))
+    a = 2.0 * np.pi * turns(128.0 * s)
+    twocos = (2.0 * np.cos(b))[i] * np.cos(a) - (2.0 * np.sin(b))[i] * np.sin(a)
+    g = twocos[-1] - twocos[:-1]
+    near = np.abs(g) < 2.0**-16
+    m = j[:-1][near].astype(np.float64)
+    g[near] = -4.0 * sin_pi(N + m) * sin_pi(N - m)
+    return g
 
 
 def prefixes(g):
@@ -241,56 +272,94 @@ def prefixes(g):
     return sgnf, logf
 
 
-def defined_sum(sgnf, logf):
-    # the kernels' reduction over one whole row, with no blocks, chunks
-    # or kept-bin window: segments of _S columns from column 0, the last
-    # padded with +0.0; a segment with max log m takes e = ceil(m / ln 2)
-    # and sums its _S terms +-exp(log - e ln 2) with
-    # np.add.reduce; segment sums go, in column order, into bins of
-    # _BIN binary orders, bin b = e // _BIN taking ldexp(sum, e - b _BIN);
-    # the bins add up in ascending order at the top bin's scale.  Also
-    # returns how many segments lie _BINS or more bins below the top
-    # bin as it stands after them, which a scan lets go
-    S, W, ln2 = _kernels._S, _kernels._BIN, _kernels._LN2
-    n = len(logf)
-    logs = np.full(-(-n // S) * S, -np.inf)
-    logs[:n] = logf
-    neg = np.zeros(len(logs), dtype=bool)
-    neg[:n] = sgnf < 0
-    bins, top, below = {}, 0, 0
-    for a in range(0, len(logs), S):
-        m = logs[a:a + S].max()
-        if m == -np.inf:
-            continue
-        e = math.ceil(m / ln2)
-        terms = np.exp(logs[a:a + S] - e * ln2)
-        terms[neg[a:a + S]] *= -1.0
-        b = e // W
-        bins[b] = bins.get(b, 0.0) + np.ldexp(np.add.reduce(terms), e - b * W)
-        top = max(top, b)
-        below += b <= top - _kernels._BINS
-    total = 0.0
-    for b in sorted(bins):
-        total += np.ldexp(bins[b], (b - top) * W)
+def horner_sum(g):
+    # the kernels' sum over one whole row of factors g(1), g(2), ..., with
+    # no chunks or blocks: pieces of _L factors from j = 1, the last one
+    # padded with exact zeros.  A piece's b takes backward Horner steps
+    # b <- b g + 1 from b = 0; its product a takes the products of its
+    # groups of _K factors, from t = 0, each split by frexp, multiplying
+    # the mantissas from the last group down.  The maps h -> b + a h then
+    # compose pairwise, neighbours 2i, 2i + 1 at every level and an odd
+    # last one passing up, as mantissas and integer exponents summed at
+    # the larger exponent with the product's rounding error carried
+    # exactly (Dekker), and the composite takes h = 1
+    L, K, Z = _kernels._L, _kernels._K, _kernels._ZERO
+
+    def norm(m, e):
+        m, d = np.frexp(m)
+        return m, np.where(m == 0.0, Z, np.add(e, d, dtype=np.int64))
+
+    def split(v):
+        t = (2.0**27 + 1.0) * v
+        h = t - (t - v)
+        return h, v - h
+
+    def compose(left, right):
+        (bl, ebl, al, eal), (br, ebr, ar, ear) = left, right
+        x, ex = al * br, eal + ebr
+        (ah, at), (bh, bt) = split(al), split(br)
+        dx = ((ah * bh - x) + ah * bt + at * bh) + at * bt
+        e = np.maximum(ebl, ex)
+        b = np.ldexp(bl, ebl - e) + np.ldexp(x, ex - e) + np.ldexp(dx, ex - e)
+        return (*norm(b, e), *norm(al * ar, eal + ear))
+
+    P = -(-len(g) // L)
+    G = np.zeros(P * L)
+    G[:len(g)] = g
+    G = G.reshape(P, L).T
+    b = np.zeros(P)
+    for t in range(L - 1, -1, -1):
+        b = b * G[t] + 1.0
+    a, ea = np.ones(P), np.zeros(P, dtype=np.int64)
+    for t0 in range(L - K, -1, -K):
+        p = G[t0]
+        for t in range(t0 + 1, t0 + K):
+            p = p * G[t]
+        m, e = np.frexp(p)
+        a, ea = a * m, ea + e
+    # a row of no factor is the identity map h -> h
+    maps = (*norm(b, 0), *norm(a, ea)) if P else (np.zeros(1), np.full(1, Z), np.full(1, 0.5), np.ones(1, dtype=np.int64))
+    while len(maps[0]) > 1:
+        n = len(maps[0])
+        pair = compose([v[0:n - 1:2] for v in maps], [v[1:n:2] for v in maps])
+        maps = [np.concatenate([u, v[n - 1:]]) if n % 2 else u for u, v in zip(pair, maps)]
+    b, eb, _, _ = compose(maps, (0.5, 1, 0.0, Z))
     with np.errstate(divide="ignore"):
-        return int(np.sign(total)), top * W * ln2 + np.log(np.abs(total)), below
+        return int(np.sign(b[0])), np.log(np.abs(b[0])) + eb[0] * _kernels._LN2
+
+
+def row_factors(fill, n):
+    # the factors g(1..n) a lone row's fill forms, in column order
+    return np.concatenate([g for _, g in _kernels._prefix_blocks(fill, n)] or [[]])
+
+
+def block(fill, T, n, rows):
+    # a block of T factor rows of n pieces of each of rows rows, laid out
+    # (t, piece, row), as the kernel forms it _K rows at a time
+    out, part = np.empty((T, n, rows)), fill(0, n)
+    for t0 in range(0, T, _kernels._K):
+        o = out[t0:t0 + _kernels._K]
+        part(t0, o, np.empty_like(o))
+    return out
 
 
 class TestColumnBlocks:
     def test_blocked_core_matches_unblocked_formula(self):
-        # rows on both sides of one block (W prefix columns), two, and
-        # many; the carried log and sign parity make the blocked prefixes
-        # equal, bit for bit, to the whole-row recurrences, and the sums
-        # equal to the reduction's definition over the whole row.  At
-        # N = 40000, x = 2^-16 the first vanishing factor, j = 25536,
-        # lies in the second block: a parity carried across a block
-        # edge meets an exact zero, and the signs must turn 0 there
-        W = _kernels._block_width(1)
-        cases = [(N, x) for N in (W - 1, W, W + 1, W + 2, W + 129, 3 * W + 5, 10**6)
+        # rows on both sides of one block of a scan (W factors), two, and
+        # many, and of jones_prefix's blocks (C factors); the carried log
+        # and sign make the blocked prefixes equal, bit for bit, to the
+        # whole-row recurrences, and the sums equal to the reduction's
+        # definition over the whole row.  At N = 40000, x = 2^-16 the
+        # first vanishing factor, j = 25536, lies in the second prefix
+        # block: a sign carried across a block edge meets an exact zero,
+        # and the signs must turn 0 there
+        W, C = _kernels._PIECES * _kernels._L, _kernels._CHUNK_FACTORS
+        cases = [(N, x) for N in (C - 1, C + 1, W - 1, W, W + 1, W + 2, W + 129, 3 * W + 5)
                  for x in (1.05 / N, 0.3, 1 / 3, 0.5)]
-        for N, x in cases + [(40000, 2.0**-16)]:
-            sgnf, logf = unblocked(N, x)
-            s, l, _ = defined_sum(sgnf, logf)
+        for N, x in cases + [(40000, 2.0**-16), (10**6, 0.3)]:
+            g = unblocked(N, x)
+            sgnf, logf = prefixes(g)
+            s, l = horner_sum(g)
             ks, kl = _kernels.jones_scan(N, x)
             assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, x)
             ps, pl = _kernels.jones_prefix(N, x)
@@ -300,38 +369,65 @@ class TestColumnBlocks:
             if x == 0.5:
                 # dead at j <= 2 in the first block, and in every
                 # later block too: J = 1 (odd N) or 1 + 4 (even N)
-                assert (ps[W:] == 0).all() and (pl[W:] == -np.inf).all()
+                assert (ps[C:] == 0).all() and (pl[C:] == -np.inf).all()
                 assert ks == 1
                 assert abs(kl - (0.0 if N % 2 else math.log(5.0))) < 1e-15
             if N == 40000:
                 assert ps[25535] != 0 and (ps[25536:] == 0).all()
 
-    def test_windowed_scan_matches_unblocked_formula(self):
-        # rows of several blocks whose logs fall _BINS bins or more below
-        # their top, where a scan lets segments and whole blocks go: the
-        # scan must equal, bit for bit, the definition over the whole row
-        W = _kernels._block_width(1)
-        for N in (3 * W + 5, 5 * W + 17, 300_001, 10**6):
+    def test_multi_block_scan_matches_unblocked_formula(self):
+        # rows of several blocks whose logs fall hundreds of nats below
+        # their peak and rise again: the scan composes each block's
+        # pieces into one map and the blocks' maps in the same pairwise
+        # order as the whole row's, so it must equal, bit for bit, the
+        # definition over the whole row
+        W = _kernels._PIECES * _kernels._L
+        for N in (3 * W + 5, 5 * W + 17):
             for r in (1.0, 0.9, 1.05, 2.5):
                 x = r / N
-                s, l, below = defined_sum(*unblocked(N, x))
-                assert below >= W // _kernels._S, (N, r)
+                s, l = horner_sum(unblocked(N, x))
                 ks, kl = _kernels.jones_scan(N, x)
                 assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, r)
 
-    def test_bins_below_the_kept_ones_add_zero(self):
-        # a bin sum is below 2^(_BIN + 60); moved down by _BINS bins or
-        # more to the top bin's scale it must be exactly +-0.0, on a long
-        # array and a short one, so the bins and segments a row lets go
-        # cannot move a bit of its total.  A segment max at the floor
-        # lies _BINS bins below f(0) = 1, so below every row's kept bins
-        big = 2.0 ** (_kernels._BIN + 60) * (1.0 - np.random.default_rng(5).random(1000))
-        for n in (1000, 64, 5):
-            for sign in (1.0, -1.0):
-                z = np.ldexp(sign * big[:n], -_kernels._BINS * _kernels._BIN)
-                assert (z == 0.0).all() and (np.signbit(z) == (sign < 0)).all()
-        e = math.ceil(_kernels._FLOOR / _kernels._LN2)
-        assert e // _kernels._BIN == -_kernels._BINS
+    def test_sums_past_the_float_range(self):
+        # rows whose |J| and Horner suffix sums pass 2^1024, which the
+        # maps carry as integer exponents, against 60-digit mpmath: the
+        # Kashaev point x = 1/N at N = 3000 on the float route and on
+        # integer phases, and the dyadic x = 2^-12 at N = 4096.  Their
+        # first factor, about 4 sin^2(pi/N), meets a suffix sum past
+        # 2^1074: a rescaled unit term 1 that had underflowed there would
+        # leave b = g(1) h(2) without its 1, and a dead factor met after
+        # it would read a false zero.  All terms are positive, so the sums
+        # are well conditioned
+        import mpmath
+
+        def oracle(N, x):
+            with mpmath.workdps(60):
+                gN = 2 * mpmath.cos(2 * mpmath.pi * x * N)
+                z = prod = mpmath.mpf(1)
+                for j in range(1, N):
+                    prod *= gN - 2 * mpmath.cos(2 * mpmath.pi * x * j)
+                    z += prod
+                return z
+
+        for (s, l), N, x in ((_kernels.jones_scan(3000, 1 / 3000), 3000, mpmath.mpf(1 / 3000)),
+                             (_kernels.jones_grid_exact(np.array([3000]), 1, 3000), 3000,
+                              mpmath.mpf(1) / 3000),
+                             (_kernels.jones_scan(4096, 2.0**-12), 4096, mpmath.mpf(2.0**-12))):
+            z = oracle(N, x)
+            assert z > mpmath.mpf(2) ** 1100
+            assert s == 1 and abs(l - float(mpmath.log(z))) <= 1e-11 * float(mpmath.log(z)), (N, x)
+        # beside those rows in one call, colors whose row dies at j = 1
+        # (N + 1, J = 1), at j = 2 (2N - 2: g(2) = 0, J = 1 + g(1)) and
+        # at once (1): no false zero, and exactly the lone row's values
+        cs = np.array([3000, 3001, 5998, 1, 4000])
+        gs, gl = _kernels.jones_grid_exact(cs, 1, 3000)
+        assert (gs[1], gl[1]) == (1, 0.0) and (gs[3], gl[3]) == (1, 0.0)
+        g1 = 2 * mpmath.cos(2 * mpmath.pi * 5998 / 3000) - 2 * mpmath.cos(2 * mpmath.pi / 3000)
+        assert gs[2] == 1 and abs(gl[2] - float(mpmath.log(1 + g1))) < 1e-15
+        for c, s, l in zip(cs.tolist(), gs, gl):
+            (s1,), (l1,) = _kernels.jones_grid_exact(np.array([c]), 1, 3000)
+            assert s == s1 and l.tobytes() == l1.tobytes(), c
 
     def test_long_scan_memory_is_its_prefix_arrays(self):
         # a long scan reduces each block as it is made, so its peak is a
@@ -395,13 +491,13 @@ class TestGrids:
     def test_grid_matches_pointwise(self):
         # colors in any input order; N = 1, 2 have no factor or one,
         # x = 0 is t = 1, (5, 0.5) truncates at an exact zero, and
-        # N = 17000 exceeds one chunk's factor budget on its own
+        # N = 17000 is a row of many pieces beside rows of one
         Ns = np.array([700, 1, 33, 2, 700, 5, 1, 2, 17000, 33, 5, 1999, 50, 500, 5])
         xs = np.array([0.31, 0.2, 0.0, 0.75, 0.0, 0.5, 0.0, 0.5, 0.41, 0.9,
                        0.13, 0.55, 0.031, 0.9 / 500, 0.2])
         self.assert_grid_is_scan(Ns, xs)
         # every odd color at one non-dyadic x, the non-integer cable
-        # profile: chunks of rows of many colors, each of its own width.
+        # profile: chunks of rows of many colors, each of its own length.
         # A shorter row of a chunk stops at its own color: g(c) takes the
         # same products of the same table entries and segment angles as
         # the row's own g(c), so it is exactly 0.0, with one table for
@@ -413,12 +509,14 @@ class TestGrids:
                 # and the reduction's definition over each whole row
                 gs, gl = _kernels.jones_grid(cs, xs)
                 for i in (0, len(cs) // 3, len(cs) - 2):
-                    s, l, _ = defined_sum(*unblocked(int(cs[i]), float(xs[i])))
+                    s, l = horner_sum(unblocked(int(cs[i]), float(xs[i])))
                     assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
-                for sl in _kernels._chunks((cs - 1).tolist()):
-                    c, n = cs[sl], int(cs[sl][-1]) - 1
-                    g = _kernels._factors(c, xs[sl])(0, n, *np.empty((2, len(c), n)))
-                    assert (g[np.arange(len(c) - 1), c[:-1] - 1] == 0.0).all()
+                L = _kernels._L
+                pieces = np.maximum(-(-(cs - 1) // L), 1)
+                for sl in _kernels._chunks(pieces.tolist()):
+                    c = cs[sl]
+                    g = block(_kernels._factors(c, xs[sl]), min(L, int(c[-1])), int(pieces[sl][-1]), len(c))
+                    assert (g[(c[:-1] - 1) % L, (c[:-1] - 1) // L, np.arange(len(c) - 1)] == 0.0).all()
         # dyadic non-integer profiles, x = 3/2048 and 1/64: one rational
         # call carries every color, each row at its own k, live length
         # and width
@@ -427,20 +525,20 @@ class TestGrids:
             self.assert_grid_is_scan(cs, np.full(len(cs), r / N))
 
     def test_grid_color_spanning_chunks(self):
-        # N = 101 fills two whole chunks plus a remainder, interleaved
-        # with a second color
-        rows = _kernels._CHUNK_FACTORS // 100
+        # N = 101, a row of one piece, fills two whole chunks plus a
+        # remainder, interleaved with a second color
+        P, L = _kernels._PIECES, _kernels._L
         rng = np.random.default_rng(4)
-        Ns = np.array([101] * (2 * rows + 7) + [9] * 5, dtype=np.int64)
+        Ns = np.array([101] * (2 * P + 7) + [9] * 5, dtype=np.int64)
         rng.shuffle(Ns)
-        self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
-        # a lone row just past one column block, in a call whose chunk of
-        # rows of 160 prefix columns sized the shared prefix buffers past
-        # that row's columns: it still runs in two blocks
-        C, W = _kernels._CHUNK_FACTORS, _kernels._block_width(1)
-        assert C // 159 * 256 > W + 100
-        Ns = np.array([160] * (C // 159) + [W + 100], dtype=np.int64)
-        self.assert_grid_is_scan(Ns, rng.random(len(Ns)))
+        self.assert_grid_is_scan(Ns, rng.random(len(Ns)), every=5)
+        # a lone row just past one block, in a call whose chunk of rows of
+        # two pieces sized the shared buffers: it still runs in two
+        # blocks, whose maps compose as the whole row's
+        W = P * L
+        assert -(-(W + 99) // L) > P
+        Ns = np.array([160] * (P // 2) + [W + 100], dtype=np.int64)
+        self.assert_grid_is_scan(Ns, rng.random(len(Ns)), every=3)
 
     def test_grid_dyadic_quadrature_grid(self):
         # dyadic points go through the integer-phase core once per
@@ -518,16 +616,20 @@ class TestGrids:
     def test_grid_exact_matches_pointwise(self):
         # over all odd colors, many past their first dead factor; the
         # colors stop there, and the sum must equal, bit for bit, the
-        # reduction's definition over the full row with its dead factors
-        # zeroed, and the one-color call
+        # reduction's definition over the full row with its near-root
+        # factors taken as sine products of the integer phases and its
+        # dead factors zeroed, and the one-color call
         def full_row(c, r, N):
             q = r * np.arange(1, c) % N
             q = np.minimum(q, N - q)
             qc = min(r * c % N, N - r * c % N)
             g = (2.0 * np.cos(2.0 * np.pi * qc / N)
                  - 2.0 * np.cos(2.0 * np.pi * q / N))
+            near = np.abs(g) < 2.0**-16
+            t, d = qc + q[near], qc - q[near]
+            g[near] = -4.0 * np.sin(np.minimum(t, N - t) * np.pi / N) * np.sin(d * np.pi / N)
             g[q == qc] = 0.0
-            s, l, _ = defined_sum(*prefixes(g))
+            s, l = horner_sum(g)
             return s, np.float64(l), bool((q == qc).any())
 
         def dead_rows(cs, r, N):
@@ -558,6 +660,17 @@ class TestGrids:
                          ([], 1, 800), ([3, 40001, 5], 1, 80000),
                          (np.arange(1, 6000, 14), 1, 3000)):
             dead_rows(cs, r, N)
+
+    def test_cancelling_rows_read_no_false_zero(self):
+        # rows whose terms cancel below float64's reach are noise, but a
+        # composition whose rounded product met b_l exactly summed to 0.0
+        # and read the row as vanished: 12 rows of the profile at N = 800,
+        # r = 1 (c = 217, 377, ...) and 48 at N = 3000, r = 3, none of
+        # which has a vanishing factor in its live prefix.  Carrying the
+        # product's rounding error, none reads 0
+        for N, r in ((800, 1), (3000, 3)):
+            s, _ = _kernels.jones_grid_exact(np.arange(1, 2 * N, 2), r, N)
+            assert (s != 0).all(), (N, r, np.flatnonzero(s == 0)[:5])
 
     def test_grid_exact_memory_stays_within_chunks(self):
         # all 3000 odd colors at once: a few chunk-sized arrays at a time,
