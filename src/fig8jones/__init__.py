@@ -15,8 +15,8 @@ _HOME = {name: module for module, names in (
                    "critical_indices f_max normalized_log partial_product_f term_g"),
     ("limits", "ConvergenceRecord LimitBranch PiecewiseLimitSpec V_SPEC W_SPEC "
                "convergence_table limit_theorem3 limit_V limit_W mahler_growth_integral"),
-    ("mahler", "FIG8_ALEXANDER LaurentPolynomialZ homology_order jones_mahler_growth "
-               "jones_on_circle log_mahler_quadrature mahler_from_roots "
+    ("mahler", "FIG8_ALEXANDER LaurentPolynomialZ const_on_circle homology_order "
+               "jones_mahler_growth jones_on_circle log_mahler_quadrature mahler_from_roots "
                "silver_williams_convergence"),
     ("satellite", "ColorProfile ProfileRow argmax_color cable_profile"),
     ("_kernels", "current_backend"),

@@ -6,10 +6,19 @@ mutually exclusive group (``mahler quad`` takes exactly one of
 ``--poly``/``--const``/``--jones``, ``eval`` one of ``--r``/``--x``),
 and ``--check`` belongs to the six top-level commands.
 
+Each command imports only the modules it runs: ``import fig8jones.cli``
+loads ``fig8jones.errors`` alone, and ``volume`` adds only
+``special_functions``.  A callee (``colored_jones``, ``cable_profile``,
+...) is still an attribute of this module: it resolves on first access
+through the package's name table (PEP 562) and is cached here, and each
+command looks it up on the module when it runs.  So a wrapper set on
+the attribute from outside (the benchmark's traced run, a test's
+monkeypatch) is what the command calls.
+
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 numeric or
-precision error, or not enough memory (one line on stderr, no
-traceback).  CSV cells carry 15 significant digits; identical
-flags produce byte-identical files.
+precision error, or not enough memory, 73 the output file cannot be
+written (one line on stderr, no traceback).  CSV cells carry 15
+significant digits; identical flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,34 +29,38 @@ if __name__ == "__main__":  # the process ends with its command: no cyclic GC
     gc.disable()
 
 import argparse
+import importlib
 import math
 import sys
 from functools import partial
 
 import numpy as np
 
+from . import _HOME
 from .errors import DomainError, PrecisionError, SingularityError, ZeroValueError
-from .jones_fig8 import EvaluationPoint, colored_jones, normalized_log
-from .limits import convergence_table, limit_V, limit_W, mahler_growth_integral
-from .mahler import (
-    FIG8_ALEXANDER,
-    LaurentPolynomialZ,
-    const_on_circle,
-    homology_order,
-    jones_mahler_growth,
-    jones_on_circle,
-    log_mahler_quadrature,
-    mahler_from_roots,
-    silver_williams_convergence,
-)
-from .satellite import argmax_color, cable_profile
-from .special_functions import fig8_volume, lobachevsky
+
+# the module the commands look their callees up on (``__main__`` under
+# ``python -m``)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"fig8jones.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
+EXIT_CANTCREAT = 73
 
+# str(mahler.FIG8_ALEXANDER), spelled out so that building the parser
+# imports no command's modules
+FIG8_POLY = "-1,3,-1@-1"
 FIGURE_IDS = ("V", "W", "conv1", "conv2", "conv3", "conv4", "conv5",
               "conv8000", "cable")
 
@@ -68,8 +81,12 @@ def _write_rows(path: str, header: str, rows) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # main() names the path, also when a write fails
+            exc.filename = path
+            raise
         print(f"wrote {path}")
 
 
@@ -86,8 +103,9 @@ def _run_checks(checks) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_lobachevsky(args) -> int:
+    lobachevsky = _cli.lobachevsky
     if args.check:
-        vol = fig8_volume()
+        vol = _cli.fig8_volume()
         return _run_checks([
             ("lobachevsky(0) == 0", lobachevsky(0.0) == 0.0),
             ("lobachevsky(pi) ~ 0", abs(lobachevsky(math.pi)) < 1e-12),
@@ -107,17 +125,18 @@ def _cmd_lobachevsky(args) -> int:
 
 def _cmd_volume(args) -> int:
     if args.check:
-        vol = fig8_volume()
+        vol = _cli.fig8_volume()
         return _run_checks([
             ("volume ~ 2.029883213", abs(vol - 2.029883213) < 1e-8),
             ("volume == 6*L(pi/3) to 1e-10",
-             abs(vol - 6.0 * lobachevsky(math.pi / 3)) < 1e-10),
+             abs(vol - 6.0 * _cli.lobachevsky(math.pi / 3)) < 1e-10),
         ])
-    print(_fmt(fig8_volume()))
+    print(_fmt(_cli.fig8_volume()))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
+    EvaluationPoint, colored_jones = _cli.EvaluationPoint, _cli.colored_jones
     if args.check:
         j2 = colored_jones(EvaluationPoint(2, 0.5))
         j3 = colored_jones(EvaluationPoint(3, 1.0 / 3.0))
@@ -137,7 +156,7 @@ def _cmd_eval(args) -> int:
     if v.sign == 0:
         raise ZeroValueError(f"J_N vanishes at N={p.N}, x={p.x}")
     print(f"sign={v.sign:+d} log_abs={_fmt(v.logabs)} "
-          f"normalized={_fmt(normalized_log(p, v))}")
+          f"normalized={_fmt(_cli.normalized_log(p, v))}")
     return EXIT_OK
 
 
@@ -169,12 +188,13 @@ def _record_rows(records) -> list[str]:
 def _figure_conv(lo: float, N: int, step: float):
     n = _steps(step)
     rs = [lo + k * step for k in range(n + 1)]
-    return "r,finite,predicted,delta", _record_rows(convergence_table(rs, N))
+    return "r,finite,predicted,delta", _record_rows(_cli.convergence_table(rs, N))
 
 
 def _cmd_figure(args) -> int:
     if args.check:
-        vol = fig8_volume()
+        limit_V, limit_W = _cli.limit_V, _cli.limit_W
+        vol = _cli.fig8_volume()
         seam = abs(float(limit_V(0.75 - 1e-12)) - float(limit_V(0.75 + 1e-12)))
         return _run_checks([
             ("V(0.1) == 0", float(limit_V(0.1)) == 0.0),
@@ -182,7 +202,7 @@ def _cmd_figure(args) -> int:
             ("W(0) ~ volume", abs(float(limit_W(0.0)) - vol) < 1e-12),
             ("V continuous at 3/4", seam < 1e-8),
             ("integral W ~ 1.450191516",
-             abs(mahler_growth_integral(1 << 16) - 1.450191516) < 1e-3),
+             abs(_cli.mahler_growth_integral(1 << 16) - 1.450191516) < 1e-3),
         ])
     fid = args.id
     if fid is None:
@@ -198,10 +218,10 @@ def _cmd_figure(args) -> int:
     if step is not None:
         _steps(step)
     if fid in ("V", "W"):
-        header, rows = _figure_curve(limit_V if fid == "V" else limit_W,
+        header, rows = _figure_curve(_cli.limit_V if fid == "V" else _cli.limit_W,
                                      0.001 if step is None else step)
     elif fid == "cable":
-        profile = cable_profile(800 if N is None else N, 1.0 if args.r is None else args.r)
+        profile = _cli.cable_profile(800 if N is None else N, 1.0 if args.r is None else args.r)
         header = "c,value"
         rows = [f"{row.c}," if row.flagged else f"{row.c},{_fmt(row.value)}"
                 for row in profile.rows]
@@ -219,36 +239,37 @@ def _parse_n_list(text: str) -> list[int]:
 
 def _cmd_mahler(args) -> int:
     if args.check:
-        m_fig8 = mahler_from_roots(FIG8_ALEXANDER)
+        fig8 = _cli.FIG8_ALEXANDER
+        m_fig8 = _cli.mahler_from_roots(fig8)
         return _run_checks([
             ("homology orders 5, 16, 45",
-             [homology_order(FIG8_ALEXANDER, n) for n in (2, 3, 4)] == [5, 16, 45]),
+             [_cli.homology_order(fig8, n) for n in (2, 3, 4)] == [5, 16, 45]),
             ("m(fig8 Alexander) ~ log((3+sqrt5)/2)",
              abs(m_fig8 - math.log((3 + math.sqrt(5)) / 2)) < 1e-12),
             ("quadrature of constant 1 == 0",
-             log_mahler_quadrature(partial(const_on_circle, 1.0), 4096) == 0.0),
+             _cli.log_mahler_quadrature(partial(_cli.const_on_circle, 1.0), 4096) == 0.0),
         ])
     sub = args.mahler_cmd
     if sub == "roots":
-        f = LaurentPolynomialZ.parse(args.poly)
-        print(_fmt(mahler_from_roots(f, args.tol)))
+        f = _cli.LaurentPolynomialZ.parse(args.poly)
+        print(_fmt(_cli.mahler_from_roots(f, args.tol)))
     elif sub == "quad":
         if args.const is not None:
-            sample = partial(const_on_circle, args.const)
+            sample = partial(_cli.const_on_circle, args.const)
         elif args.jones is not None:
-            sample = partial(jones_on_circle, args.jones)
+            sample = partial(_cli.jones_on_circle, args.jones)
         else:
-            sample = LaurentPolynomialZ.parse(args.poly).eval_circle_batch
-        print(_fmt(log_mahler_quadrature(sample, args.n)))
+            sample = _cli.LaurentPolynomialZ.parse(args.poly).eval_circle_batch
+        print(_fmt(_cli.log_mahler_quadrature(sample, args.n)))
     elif sub == "homology":
-        f = LaurentPolynomialZ.parse(args.poly)
-        print(homology_order(f, args.N, method=args.method))
+        f = _cli.LaurentPolynomialZ.parse(args.poly)
+        print(_cli.homology_order(f, args.N, method=args.method))
     elif sub == "sw":
-        f = LaurentPolynomialZ.parse(args.poly)
-        records = silver_williams_convergence(f, _parse_n_list(args.N_list))
+        f = _cli.LaurentPolynomialZ.parse(args.poly)
+        records = _cli.silver_williams_convergence(f, _parse_n_list(args.N_list))
         _write_rows(args.out, "N,finite,predicted,delta", _record_rows(records))
     elif sub == "jones-growth":
-        rows = jones_mahler_growth(_parse_n_list(args.N_list), args.n_quad)
+        rows = _cli.jones_mahler_growth(_parse_n_list(args.N_list), args.n_quad)
         out_rows = [f"{N},{_fmt(m)},{_fmt(ratio)}" for N, m, ratio in rows]
         _write_rows(args.out, "N,mahler,ratio", out_rows)
     else:
@@ -261,14 +282,14 @@ def _cmd_mahler(args) -> int:
 
 def _cmd_cable(args) -> int:
     if args.check:
-        profile = cable_profile(2, 1.0)
+        profile = _cli.cable_profile(2, 1.0)
         return _run_checks([
             ("N=2 r=1 has rows c=1,3",
              [row.c for row in profile.rows] == [1, 3]),
             ("J_1 row value is 0", profile.rows[0].value == 0.0),
-            ("argmax ties resolve upward", argmax_color(2, 1.0) == 3),
+            ("argmax ties resolve upward", _cli.argmax_color(2, 1.0) == 3),
         ])
-    print(argmax_color(args.N, args.r))
+    print(_cli.argmax_color(args.N, args.r))
     return EXIT_OK
 
 
@@ -333,14 +354,14 @@ def build_parser() -> _Parser:
 
     m = msub.add_parser("homology", help="|H_1| of the branched cyclic cover")
     m.add_argument("--N", type=int, required=True)
-    m.add_argument("--poly", default=str(FIG8_ALEXANDER))
+    m.add_argument("--poly", default=FIG8_POLY)
     m.add_argument("--method", choices=("exact", "float"), default="exact",
                    help="exact = integer arithmetic; float = complex "
                         "product, refused (exit 70) once its forward error "
                         "bound reaches 0.25")
 
     m = msub.add_parser("sw", help="Silver-Williams convergence records")
-    m.add_argument("--poly", default=str(FIG8_ALEXANDER))
+    m.add_argument("--poly", default=FIG8_POLY)
     m.add_argument("--N-list", dest="N_list", default="2,5,10,20,50,100")
     m.add_argument("--out", default="-")
 
@@ -395,6 +416,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"fig8jones: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # the output: a CSV file, or stdout ("-")
+        path = "-" if exc.filename is None else exc.filename
+        print(f"fig8jones: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 def run() -> int:

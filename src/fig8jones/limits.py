@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError
 from .special_functions import ThetaVariant, fig8_volume, lobachevsky, theta_r
 
@@ -169,6 +168,8 @@ def convergence_table(r_grid, N: int) -> list[ConvergenceRecord]:
     Grid points where J_N vanishes to working precision produce flagged
     records with NaN finite value rather than failing the run.
     """
+    from . import _kernels  # here, so the limit curves never load the kernels
+
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     rs = [float(r) for r in r_grid]

@@ -25,7 +25,6 @@ from functools import partial
 
 import numpy as np
 
-from . import _kernels
 from .errors import PrecisionError, SingularityError
 from .limits import ConvergenceRecord
 
@@ -110,6 +109,8 @@ def const_on_circle(value: float, xs) -> tuple[np.ndarray, np.ndarray]:
 def jones_on_circle(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log|J_N(E; exp(2 pi i x))|) over xs via the Habiro-Le
     kernels."""
+    from . import _kernels  # here, so homology and sw never load the kernels
+
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     xs = np.asarray(xs, dtype=float) % 1.0

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import os
@@ -281,6 +282,16 @@ class TestChecksAndExitCodes:
         assert code == 70
         assert "float window" in err
 
+    @pytest.mark.parametrize("cmd", [("figure", "V"), ("mahler", "sw", "--N-list", "2,5")])
+    def test_unwritable_out_is_73_in_one_line(self, tmp_path, cmd):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(*cmd, "--out", str(path))
+        assert code == 73 and out == ""
+        assert err == f"fig8jones: cannot write {path}: No such file or directory\n"
+        code, _, err = run_cli(*cmd, "--out", str(tmp_path))
+        assert code == 73
+        assert err == f"fig8jones: cannot write {tmp_path}: Is a directory\n"
+
 
 def run_python(*args):
     """A fresh interpreter with this source tree first on its path."""
@@ -326,6 +337,45 @@ class TestProcessExit:
     def test_module_run_exit_codes(self, argv, expected):
         assert run_python("-m", "fig8jones.cli", *argv).returncode == expected
 
+    @pytest.mark.parametrize("argv", [("figure", "V"), ("mahler", "sw", "--N-list", "2,5")])
+    def test_module_run_unwritable_out_is_73(self, tmp_path, argv):
+        path = tmp_path / "missing" / "out.csv"
+        proc = run_python("-m", "fig8jones.cli", *argv, "--out", str(path))
+        assert proc.returncode == 73 and proc.stdout == ""
+        assert proc.stderr == f"fig8jones: cannot write {path}: No such file or directory\n"
+
+
+def loaded_modules(*argv) -> list[str]:
+    """The fig8jones modules a fresh process holds when it exits: argv
+    run as under python -m, or no command (the import of fig8jones.cli)."""
+    run = (f"sys.argv = ['fig8jones', *{list(argv)!r}]\n"
+           "runpy.run_module('fig8jones.cli', run_name='__main__', alter_sys=True)"
+           if argv else "import fig8jones.cli")
+    proc = run_python("-c", (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules\n"
+        "                                     if m.split('.')[0] == 'fig8jones')))\n"
+        + run))
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ((), "cli"),
+    (("volume",), "special_functions"),
+    (("figure", "V", "--step", "0.5", "--out", "-"), "limits special_functions"),
+    (("figure", "conv1", "--step", "0.5", "--out", "-"),
+     "_kernels limits special_functions"),
+    (("figure", "cable", "--N", "40", "--r", "1", "--out", "-"), "_kernels satellite"),
+    (("mahler", "sw", "--N-list", "2,5", "--out", "-"), "limits mahler special_functions"),
+    (("eval", "--N", "100", "--r", "1"), "_kernels jones_fig8 special_functions"),
+])
+def test_each_command_imports_only_its_modules(argv, modules):
+    # under python -m the cli module runs as __main__, not as fig8jones.cli
+    expected = sorted(["fig8jones", "fig8jones.errors",
+                       *(f"fig8jones.{m}" for m in modules.split())])
+    assert loaded_modules(*argv) == expected
+
 
 def test_package_resolves_names_on_first_access():
     script = """
@@ -347,3 +397,10 @@ print("__all__" in dir(fig8jones))
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "AttributeError", "True", ""]
+
+
+def test_default_poly_spells_the_fig8_alexander_polynomial():
+    # the parser's --poly default is a literal, so building it imports no mahler
+    from fig8jones.mahler import FIG8_ALEXANDER
+
+    assert cli.FIG8_POLY == str(FIG8_ALEXANDER)
