@@ -19,7 +19,6 @@ _HOME = {name: module for module, names in (
                "jones_mahler_growth jones_on_circle log_mahler_quadrature mahler_from_roots "
                "silver_williams_convergence"),
     ("satellite", "ColorProfile ProfileRow argmax_color cable_profile"),
-    ("_kernels", "current_backend"),
 ) for name in names.split()}
 
 __all__ = list(_HOME)

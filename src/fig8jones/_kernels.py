@@ -14,7 +14,7 @@ values on every route.  Phases reach the cosines by one of two routes,
 chosen by the point (c, x) alone, so a scan, ``jones_prefix`` and a
 grid take the same one:
 
-* Rational phases (``_rational``): x = k/Q with integer folded
+* Rational phases (``_rational_rows``): x = k/Q with integer folded
   numerators q_j = min(k j mod Q, Q - k j mod Q) and factors
   2 cos(2 pi q_c/Q) - 2 cos(2 pi q_j/Q).  ``jones_grid_exact`` uses
   Q = N for x = r/N, so factors that vanish mathematically are exactly
@@ -28,11 +28,9 @@ grid take the same one:
   entries are no more than the cosines the rows would take directly
   and no more than a block or one per color, else the cosines
   themselves (``_twocos``), the same expression on the same q, so the
-  same bits either way.  A factor under ``_TAU`` = 2^-16 in magnitude,
-  near one of its roots where a cosine difference keeps few digits, is
-  recomputed from the integer phases as
+  same bits either way.  The sine product of a factor (below) is
   -4 sin(pi (q_c + q_j)/Q) sin(pi (q_c - q_j)/Q).
-* Float phases (``_factors``), every other point: x = xh + xl split
+* Float phases (``_float_rows``), every other point: x = xh + xl split
   into halves of 26 bits (``_split``), so xh*n and xl*n are exact for
   n < 2^26 and x*n less its nearest integer costs one rounding
   (``_turns``).  With j = _L s + i, i in 1.._L, that is factor i of
@@ -40,15 +38,32 @@ grid take the same one:
   2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s, from small tables
   C2[i], S2[i] = 2 cos, 2 sin (2 pi x i), and the angles A_s = 2 pi x _L s
   of a block's pieces: two products and a difference per factor where a
-  cosine was.  The split of j depends on
-  j alone, so blocks and chunks see the same values.  A factor under
-  ``_TAU`` is recomputed as -4 sin(pi x (c + j)) sin(pi x (c - j)) on
-  phases reduced the same way (``_sin_pi``).  Every c + j must stay
-  below 2^26, so this route takes colors up to ``_MAX_FLOAT_COLOR`` =
-  2^25 and raises DomainError past it.
+  cosine was.  The split of j depends on j alone, so blocks and chunks
+  see the same values, and g(c) takes the same formula at j = c, so a
+  shorter row's g(c) is exactly 0.0.  The sine product of a factor is
+  -4 sin(pi x (c + j)) sin(pi x (c - j)) on phases reduced the same way
+  (``_sin_pi``), j an integer.  Every c + j must stay below 2^26, so
+  this route takes colors up to ``_MAX_FLOAT_COLOR`` = 2^25 and raises
+  DomainError past it, once per call, before any row is formed.
+
+Routes: both routes return one contract, a pair (lengths, rows).
+lengths[i] is the number of factors row i sums: c - 1 on the float
+route, live - 1 on the rational one (Early exit, below).  rows(i) is
+the fill of the rows of an index array i: fill(j0, n) prepares a block
+of n pieces from factor j0 + 1 on and returns part(t0, out, tmp), which
+writes the rows' g(j0 + pL + t0 + t + 1) into out, of shape
+(t, piece, row), and returns it, using tmp (out's shape) as scratch.
+Every caller sums a route as ``_rows(*route)``.  Rows that share their
+x share one cosine row: the float route forms one table C2, S2 for a
+chunk of one x (a cable profile), and the rational route forms each
+part's cosines once, laid out (t, piece, 1), and subtracts them across
+the chunk's rows; rows of distinct x write their own cosines.  On both
+routes a factor under ``_TAU`` = 2^-16 in magnitude, near one of its
+roots where a cosine difference keeps few digits, is recomputed as the
+route's sine product of its exact phases (``_refine``).
 
 The x <-> 1-x fold: ``jones_grid`` evaluates each distinct
-(color, folded x) of its dyadic points once, in one ``_rational`` call
+(color, folded x) of its dyadic points once, in one rational route
 per distinct Q that covers every color, and scatters the results back,
 which halves a symmetric grid such as the quadrature midpoints.
 
@@ -132,8 +147,8 @@ _LN2 = float(np.log(2.0))
 # never sets the scale of a sum
 _ZERO = -(1 << 40)
 
-# The float route (``_factors``): the magnitude under which a factor is
-# recomputed as a sine product, Dekker's splitter for float64, and the
+# The magnitude under which a factor is recomputed as a sine product
+# (``_refine``), Dekker's splitter for float64, and the float route's
 # largest color, for which every phase x (c + j) has c + j < 2^26
 _TAU = 2.0 ** -16
 _SPLIT = 2.0 ** 27 + 1.0
@@ -194,72 +209,62 @@ def _sin_pi(xh, xl, m):
     return p
 
 
-def _columns(j0, T, n):
-    """The factor indices j = j0 + pL + t + 1 of a block of n pieces, t < T,
-    laid out (t, piece, 1) as the blocks are."""
-    return (j0 + 1 + np.arange(T))[:, None, None] + _L * np.arange(n)[:, None]
-
-
-def _near(g, tmp):
-    """Flat indices of the factors of g under ``_TAU`` in magnitude; tmp is
-    a float scratch of g's shape."""
+def _refine(g, tmp, j0, sine):
+    """g with each factor under ``_TAU`` in magnitude replaced, in place,
+    by sine(r, j), the route's sine product of factor j (an integer
+    array) of row r.  g is a part (t, piece, row) of a block whose first
+    factors are g(j0 + 1); tmp is a float scratch of g's shape."""
     a = np.abs(g, out=tmp)
-    return np.flatnonzero(a < _TAU) if a.min() < _TAU else []
+    if a.min() < _TAU:
+        hit = np.flatnonzero(a < _TAU)
+        t, p, r = np.unravel_index(hit, g.shape)
+        g.flat[hit] = sine(r, j0 + 1 + t + _L * p)
+    return g
 
 
-def _factors(cs, xs):
-    """Float-route factors at t = exp(2 pi i x) for the paired colors c
-    of cs and positions x of xs, as a fill: fill(j0, n) prepares a block
-    of n pieces from j0 on and returns part(t0, out, tmp), which writes
-    the rows' g(j0 + pL + t0 + t + 1) into out, of shape
-    (t, piece, row), and returns it, using tmp (out's shape) as scratch.
-
-    x is folded exactly (``_fold_x``) and split (``_split``), and
-    j = _L s + i, i in 1.._L: 2 cos(2 pi x j) = C2[i] cos A_s - S2[i] sin A_s,
-    from tables C2[i] = 2 cos(2 pi x i), S2[i] = 2 sin(2 pi x i) and the
-    angles A_s = 2 pi x _L s of each block's pieces, every phase reduced
-    by ``_turns``.  The rows share one table when they share their x (a
-    cable profile), else each has its own; Horner step t takes entry
-    t + 1 for every piece.  g(c) takes the same formula at j = c, so a
-    shorter row's g(c) is exactly 0.0.  A factor under ``_TAU`` in
-    magnitude is recomputed as -4 sin(pi x (c + j)) sin(pi x (c - j))
-    (``_sin_pi``).  Every c + j must stay below 2^26, so colors above
-    ``_MAX_FLOAT_COLOR`` raise DomainError."""
+def _float_rows(cs, xs):
+    """The float route (module docstring) of the paired colors cs and
+    positions xs, as (lengths, rows).  x is folded and the colors are
+    checked once per call; the tables C2, S2 are formed per chunk, by
+    rows(i), one when its rows share their x, else one per row."""
     cmax = int(cs.max(initial=1))
     if cmax > _MAX_FLOAT_COLOR:
         raise DomainError(f"color {cmax} at a non-dyadic x is past the float route's "
                           f"exact phases", interval=f"N <= {_MAX_FLOAT_COLOR}")
     xs = _fold_x(xs)
     xh, xl = _split(xs)
-    u = slice(0, 1) if (xs == xs[0]).all() else slice(None)
-    # tables of shape (i, 1, row), i = 1.._L
-    cos, sin = _angle(_turns(xh[u], xl[u], np.arange(1.0, _L + 1)[:, None, None]))
-    c2, s2 = 2.0 * cos, 2.0 * sin
-    s, i = np.divmod(cs - 1, _L)
-    ca, sa = _angle(_turns(xh, xl, s * float(_L)))
-    r = np.arange(len(cs)) % c2.shape[2]
-    gc = c2[i, 0, r] * ca - s2[i, 0, r] * sa
 
-    def fill(j0, n):
-        # the angles of the pieces, (piece, row)
-        ca, sa = _angle(_turns(xh, xl, (j0 + _L * np.arange(n, dtype=np.float64))[:, None]))
+    def rows(i):
+        c, x, h, l = cs[i], xs[i], xh[i], xl[i]
+        u = slice(0, 1) if (x == x[0]).all() else slice(None)
+        # tables of shape (i, 1, row), i = 1.._L; Horner step t takes
+        # entry t + 1 for every piece
+        cos, sin = _angle(_turns(h[u], l[u], np.arange(1.0, _L + 1)[:, None, None]))
+        c2, s2 = 2.0 * cos, 2.0 * sin
+        s, k = np.divmod(c - 1, _L)
+        ca, sa = _angle(_turns(h, l, s * float(_L)))
+        r = np.arange(len(c)) % c2.shape[2]
+        gc = c2[k, 0, r] * ca - s2[k, 0, r] * sa
 
-        def part(t0, out, tmp):
-            v = slice(t0, t0 + len(out))
-            np.multiply(c2[v], ca, out=out)
-            np.multiply(s2[v], sa, out=tmp)
-            np.subtract(out, tmp, out=out)
-            g = np.subtract(gc, out, out=out)
-            hit = _near(g, tmp)
-            if len(hit):
-                t, p, r = np.unravel_index(hit, g.shape)
-                h, l, c, j = xh[r], xl[r], cs[r], (j0 + t0 + 1.0) + t + _L * p
-                g.flat[hit] = -4.0 * _sin_pi(h, l, c + j) * _sin_pi(h, l, c - j)
-            return g
+        def sine(r, j):
+            return -4.0 * _sin_pi(h[r], l[r], c[r] + j) * _sin_pi(h[r], l[r], c[r] - j)
 
-        return part
+        def fill(j0, n):
+            # the angles of the pieces, (piece, row)
+            ca, sa = _angle(_turns(h, l, (j0 + _L * np.arange(n, dtype=np.float64))[:, None]))
 
-    return fill
+            def part(t0, out, tmp):
+                v = slice(t0, t0 + len(out))
+                np.multiply(c2[v], ca, out=out)
+                np.multiply(s2[v], sa, out=tmp)
+                np.subtract(out, tmp, out=out)
+                return _refine(np.subtract(gc, out, out=out), tmp, j0 + t0, sine)
+
+            return part
+
+        return fill
+
+    return cs - 1, rows
 
 
 def _twocos(q, Q, out=None):
@@ -301,9 +306,10 @@ def _live(c, k, Q):
 
 
 def _rational_rows(c, k, Q):
-    """Live lengths (``_live``) of the colors of array c at x = k/Q on
-    rational phases, k an int or an array of c's shape, and the fill of
-    the rows of an index array i, by rows(i), as for ``_factors``."""
+    """The rational route (module docstring) of the colors of array c at
+    x = k/Q, k an int or an array of c's shape, as (lengths, rows), the
+    lengths the live lengths (``_live``) less one."""
+    k = np.broadcast_to(k, c.shape)
     live = _live(c, k, Q)
     # a table when it costs no more cosines than the rows would take
     # directly, one per live factor and one per row for g(c), and holds
@@ -317,47 +323,33 @@ def _rational_rows(c, k, Q):
         cos = lambda q, out: _twocos(_fold(q, Q, None if out is None else out.view(np.int64)), Q, out)
     qc = _fold(c * k, Q)
     gc = cos(c * k, None)
-    scalar = np.ndim(k) == 0
-    if scalar:
-        # one block of cosines 2cos(2 pi q_j/Q), laid out (t, piece, 1),
-        # serves every chunk of several rows, which is at most a block,
-        # and the first block of a lone row; later blocks take their own
-        n = min(-(-int(live.max(initial=1) - 1) // _L), _CHUNK_FACTORS // _L)
-        head = cos(k * _columns(0, _L, max(n, 1)), None)
 
     def rows(i):
-        gi, qi, ki = gc[i], qc[i], k if scalar else k[i]
+        gi, qi, ki = gc[i], qc[i], k[i]
+        # rows that share their k take one cosine row, (t, piece, 1)
+        shared = len(ki) > 1 and (ki == ki[0]).all()
+        ku = ki[:1] if shared else ki
+
+        def sine(r, j):
+            qj = _fold(ki[r] * j, Q)
+            s, d = qi[r] + qj, qi[r] - qj
+            return -4.0 * np.sin(np.minimum(s, Q - s) * np.pi / Q) * np.sin(d * np.pi / Q)
 
         def fill(j0, n):
-            whole = scalar and not j0 and n <= head.shape[1]
+            # the first factor index j0 + pL + 1 of each piece, (piece, 1)
+            j = j0 + 1 + _L * np.arange(n)[:, None]
 
             def part(t0, out, tmp):
-                if whole:
-                    g = np.subtract(gi, head[t0:t0 + len(out), :n], out=out)
-                else:
-                    q = np.multiply(ki, _columns(j0 + t0, len(out), n), out=tmp.view(np.int64))
-                    g = np.subtract(gi, cos(q, out), out=out)
-                hit = _near(g, tmp)
-                if len(hit):
-                    t, p, r = np.unravel_index(hit, g.shape)
-                    qj = _fold((k if scalar else ki[r]) * (j0 + t0 + 1 + t + _L * p), Q)
-                    s, d = qi[r] + qj, qi[r] - qj
-                    g.flat[hit] = -4.0 * np.sin(np.minimum(s, Q - s) * np.pi / Q) * np.sin(d * np.pi / Q)
-                return g
+                q = np.arange(t0, t0 + len(out))[:, None, None] + j
+                q = np.multiply(ku, q, out=None if shared else tmp.view(np.int64))
+                g = np.subtract(gi, cos(q, None if shared else out), out=out)
+                return _refine(g, tmp, j0 + t0, sine)
 
             return part
 
         return fill
 
-    return live, rows
-
-
-def _rational(c, k, Q):
-    """Row-wise (signs, log|J|) of the colors of array c at x = k/Q on
-    rational phases (``_rational_rows``).  Factors are formed only up to
-    each row's live prefix (see the module docstring)."""
-    live, rows = _rational_rows(c, k, Q)
-    return _rows(live - 1, rows)
+    return live - 1, rows
 
 
 def _norm(m, e):
@@ -437,11 +429,10 @@ def _chunks(pieces):
         a = b
 
 
-def _rows(lengths, rows_fill):
-    """Row-wise (signs, log|J|) of rows of lengths[i] factors, where
-    rows_fill(i) is the fill of the rows of index array i (``_factors``).
-    Sorted by length, the rows share ``_chunks``, whose buffers are
-    allocated once."""
+def _rows(lengths, rows):
+    """Row-wise (signs, log|J|) of a route (lengths, rows) (module
+    docstring).  Sorted by length, the rows share ``_chunks``, whose
+    buffers are allocated once."""
     pieces = -(-lengths // _L)
     order = np.argsort(lengths, kind="stable")
     chunks = [order[sl] for sl in _chunks(np.maximum(pieces[order], 1).tolist())]
@@ -450,13 +441,13 @@ def _rows(lengths, rows_fill):
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i in chunks:
-        rows, fill = len(i), rows_fill(i)
+        fill = rows(i)
         # a row of n < _L factors takes steps from g(n + 1) on
         T, P = min(_L, int(lengths[i[-1]]) + 1), max(int(pieces[i[-1]]), 1)
         roots = []
         for p0 in range(0, P, _PIECES):
             n = min(P - p0, _PIECES)
-            maps = [v.reshape(n, rows) for v in _horner(fill(p0 * _L, n), T, (n, rows), buf)]
+            maps = [v.reshape(n, len(i)) for v in _horner(fill(p0 * _L, n), T, (n, len(i)), buf)]
             # pieces past a row's last are the identity h -> h
             past = (p0 + np.arange(n))[:, None] >= pieces[i]
             for v, unit in zip(maps, (0.0, _ZERO, 0.5, 1)):
@@ -486,20 +477,18 @@ def _ratio(xs):
 
 
 def _lone(N, x):
-    """The live length and fill of the lone row of color N at x, on the
-    route ``jones_grid`` takes for the point."""
+    """The route (lengths, rows) of the lone row of color N at x, the one
+    ``jones_grid`` takes for the point."""
     c, xs = np.array([N]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
         (k,), (Q,) = _ratio(xs)
-        live, rows = _rational_rows(c, int(k), int(Q))
-        return int(live[0]), rows(np.array([0]))
-    return N, _factors(c, xs)
+        return _rational_rows(c, int(k), int(Q))
+    return _float_rows(c, xs)
 
 
 def jones_scan(N: int, x: float) -> tuple[int, float]:
     """(sign, log|J_N|) of the Habiro-Le sum at t = exp(2 pi i x)."""
-    live, fill = _lone(N, x)
-    (s,), (l,) = _rows(np.array([live - 1]), lambda i: fill)
+    (s,), (l,) = _rows(*_lone(N, x))
     return int(s), l
 
 
@@ -517,13 +506,13 @@ def _prefix_blocks(fill, n):
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N,
     the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
-    _, fill = _lone(N, x)
+    _, rows = _lone(N, x)
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
     sgnf[0], logf[0] = 1, 0.0
     # each block's first log and sign take the row's prefix before it,
     # so cumsum and cumprod run the same sequential recurrences as over
     # the whole row; a vanished factor's log|0| = -inf and sign 0 carry
-    for j0, g in _prefix_blocks(fill, N - 1):
+    for j0, g in _prefix_blocks(rows(np.array([0])), N - 1):
         k = slice(j0 + 1, j0 + 1 + len(g))
         s = np.sign(g)
         s[0] *= sgnf[j0]
@@ -549,6 +538,11 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     sgn = np.empty(len(xs), dtype=np.int8)
     log = np.empty(len(xs), dtype=np.float64)
     exact = _dyadic(Ns, xs)
+    # the float route first, so that a color past its limit raises
+    # before any row is summed
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        sgn[rest], log[rest] = _rows(*_float_rows(Ns[rest], xs[rest]))
     dyadic = np.flatnonzero(exact)
     if len(dyadic):
         # one exact key N + x per distinct (color, folded x).  Without
@@ -562,13 +556,8 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
         Qs, by_Q = np.unique(Q, return_inverse=True)
         for g, q in enumerate(Qs.tolist()):
             i = np.flatnonzero(by_Q == g)
-            us[i], ul[i] = _rational(c[i], k[i], q)
+            us[i], ul[i] = _rows(*_rational_rows(c[i], k[i], q))
         sgn[dyadic], log[dyadic] = us[inv], ul[inv]
-    # the rest, of every color, in one float-route pass
-    rest = np.flatnonzero(~exact)
-    if len(rest):
-        cs, xr = Ns[rest], xs[rest]
-        sgn[rest], log[rest] = _rows(cs - 1, lambda i: _factors(cs[i], xr[i]))
     return sgn, log
 
 
@@ -577,5 +566,5 @@ def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     a color below 1 has no factor, as color 1.  Each distinct color is
     evaluated once."""
     cs, inv = np.unique(np.maximum(np.asarray(cs, dtype=np.int64), 1), return_inverse=True)
-    sgn, log = _rational(cs, r, N)
+    sgn, log = _rows(*_rational_rows(cs, r, N))
     return sgn[inv], log[inv]

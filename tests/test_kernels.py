@@ -103,7 +103,8 @@ class TestScanAgreement:
             # the kernel's cosine differences, under a threshold that
             # refines none of them
             monkeypatch.setattr(_kernels, "_TAU", 0.0)
-            g = row_factors(_kernels._factors(np.array([N]), np.array([x])), N - 1)
+            _, rows = _kernels._float_rows(np.array([N]), np.array([x]))
+            g = row_factors(rows(np.array([0])), N - 1)
             monkeypatch.setattr(_kernels, "_TAU", tau)
             near = set((np.flatnonzero(np.abs(g) < tau) + 1).tolist())
             assert got == near, (N, x, sorted(got ^ near)[:5])
@@ -160,9 +161,9 @@ class TestScanAgreement:
                 e -= round(e)
                 assert abs(Fraction(got) - e) <= Fraction(1, 2**53), (x, n)
         assert _kernels._MAX_FLOAT_COLOR == 2**25
-        _kernels._factors(np.array([2**25]), np.array([0.3]))
+        _kernels._float_rows(np.array([2**25]), np.array([0.3]))
         with pytest.raises(DomainError):
-            _kernels._factors(np.array([2**25 + 1]), np.array([0.3]))
+            _kernels._float_rows(np.array([2**25 + 1]), np.array([0.3]))
         with pytest.raises(DomainError):
             _kernels.jones_scan(2**25 + 1, 0.3)
         with pytest.raises(DomainError):
@@ -513,9 +514,11 @@ class TestGrids:
                     assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
                 L = _kernels._L
                 pieces = np.maximum(-(-(cs - 1) // L), 1)
+                lengths, rows = _kernels._float_rows(cs, xs)
+                assert np.array_equal(lengths, cs - 1)
                 for sl in _kernels._chunks(pieces.tolist()):
                     c = cs[sl]
-                    g = block(_kernels._factors(c, xs[sl]), min(L, int(c[-1])), int(pieces[sl][-1]), len(c))
+                    g = block(rows(np.arange(len(cs))[sl]), min(L, int(c[-1])), int(pieces[sl][-1]), len(c))
                     assert (g[(c[:-1] - 1) % L, (c[:-1] - 1) // L, np.arange(len(c) - 1)] == 0.0).all()
         # dyadic non-integer profiles, x = 3/2048 and 1/64: one rational
         # call carries every color, each row at its own k, live length
@@ -574,11 +577,11 @@ class TestGrids:
         # The quarter points take tables of two and three cosines, also
         # beside 2^-43: each denominator Q has its own call and rule.
         floated, cosines = [], []
-        factors, twocos = _kernels._factors, _kernels._twocos
+        float_rows, twocos = _kernels._float_rows, _kernels._twocos
 
-        def spy_factors(cs, xs):
+        def spy_float_rows(cs, xs):
             floated.extend(xs.tolist())
-            return factors(cs, xs)
+            return float_rows(cs, xs)
 
         def spy_twocos(q, Q, out=None):
             # a table is the cosine of every q = 0..Q/2
@@ -586,7 +589,7 @@ class TestGrids:
             cosines.append((Q, table))
             return twocos(q, Q, out)
 
-        monkeypatch.setattr(_kernels, "_factors", spy_factors)
+        monkeypatch.setattr(_kernels, "_float_rows", spy_float_rows)
         monkeypatch.setattr(_kernels, "_twocos", spy_twocos)
         past = [0.5 ** 50, 1 - 0.5 ** 50]
         far = past + [0.5 ** 43, 0.5 ** 40, 1 - 0.5 ** 40]
@@ -602,6 +605,63 @@ class TestGrids:
             assert {Q for Q, table in cosines if not table} == direct
             assert sorted(Q for Q, table in cosines if table) == tables
             self.assert_grid_is_scan(Ns, np.array(xs))
+
+    def test_float_route_color_limit_raises_before_any_sum(self, monkeypatch):
+        # the float route checks its colors once per call, so a color
+        # past its limit raises before any row is summed: the row of
+        # color 3 beside it, and a dyadic point's row as well
+        from fig8jones.errors import DomainError
+
+        summed = []
+        horner = _kernels._horner
+
+        def spy(*args):
+            summed.append(args[1])
+            return horner(*args)
+
+        monkeypatch.setattr(_kernels, "_horner", spy)
+        for Ns, xs in (([3, 2**25 + 1], [0.3, 0.3]), ([3, 5, 2**25 + 1], [0.3, 0.25, 0.3])):
+            with pytest.raises(DomainError):
+                _kernels.jones_grid(Ns, xs)
+            assert summed == []
+
+    def test_rows_that_share_x_share_one_cosine_row(self, monkeypatch):
+        # the cosine work of rows at one x does not grow with the rows.
+        # Rational route: at N = 80000 a table of 40001 cosines would
+        # serve 40 short colors, so they take direct cosines, one per
+        # color for g(c) and one shared row for the factors of the
+        # longest color, not one per row.  Float route: a cable profile
+        # at one non-dyadic x forms its tables C2, S2 (the only phases
+        # of shape (i, 1, row)) for one row per chunk
+        L = _kernels._L
+        cosines, tables = [], []
+        twocos, angle = _kernels._twocos, _kernels._angle
+
+        def spy_twocos(q, Q, out=None):
+            cosines.append(q.size)
+            return twocos(q, Q, out)
+
+        def spy_angle(d):
+            if d.ndim == 3:
+                tables.append(d.shape)
+            return angle(d)
+
+        monkeypatch.setattr(_kernels, "_twocos", spy_twocos)
+        monkeypatch.setattr(_kernels, "_angle", spy_angle)
+        cs = np.arange(60, 100)
+        _kernels.jones_grid_exact(cs, 1, 80000)
+        assert len(cosines) > 1 and max(cosines) < 80000 // 2 + 1
+        assert sum(cosines) <= len(cs) + L
+        cs = np.arange(1, 1600, 2)
+        _kernels.jones_grid(cs, np.full(len(cs), 1.5 / 800))
+        chunks = len(list(_kernels._chunks(np.maximum(-(-(cs - 1) // L), 1).tolist())))
+        assert tables == [(L, 1, 1)] * chunks
+        # rows of distinct x each take their own table
+        tables.clear()
+        xs = np.arange(1, 6) / 13
+        assert not _kernels._dyadic(cs[:5], xs).any()
+        _kernels.jones_grid(cs[:5], xs)
+        assert tables == [(L, 1, 5)]
 
     def test_grid_empty_and_inputs_untouched(self):
         gs, gl = _kernels.jones_grid(np.array([], dtype=np.int64), np.array([]))
