@@ -215,8 +215,6 @@ def _cmd_figure(args) -> int:
     given = [f"--{name}" for name in unused if getattr(args, name) is not None]
     if given:
         raise DomainError(f"figure {fid} takes no {' or '.join(given)}")
-    if step is not None:
-        _steps(step)
     if fid in ("V", "W"):
         header, rows = _figure_curve(_cli.limit_V if fid == "V" else _cli.limit_W,
                                      0.001 if step is None else step)

@@ -107,8 +107,6 @@ def term_g(j: int, p: EvaluationPoint) -> float:
     """
     if not 1 <= j <= p.N:
         raise ValueError(f"j must satisfy 1 <= j <= N = {p.N}, got {j}")
-    if j == p.N:
-        return 0.0
     uN = _fold(p.x * p.N)
     u = _fold(p.x * j)
     return 2.0 * math.cos(2.0 * math.pi * uN) - 2.0 * math.cos(2.0 * math.pi * u)
@@ -124,10 +122,7 @@ def partial_product_f(k: int, p: EvaluationPoint) -> SignedLogValue:
     if not 0 <= k <= p.N - 1:
         raise ValueError(f"k must satisfy 0 <= k <= N-1 = {p.N - 1}, got {k}")
     sgnf, logf = _kernels.jones_prefix(p.N, p.x)
-    s = int(sgnf[k])
-    if s == 0:
-        return SignedLogValue.zero()
-    return SignedLogValue(s, float(logf[k]))
+    return SignedLogValue(int(sgnf[k]), float(logf[k]))
 
 
 def colored_jones(p: EvaluationPoint) -> SignedLogValue:
@@ -139,10 +134,7 @@ def colored_jones(p: EvaluationPoint) -> SignedLogValue:
     The result is exactly real: each factor pair of the defining product
     multiplies to the real number g(j) on the unit circle.
     """
-    s, logabs = _kernels.jones_scan(p.N, p.x)
-    if s == 0:
-        return SignedLogValue.zero()
-    return SignedLogValue(s, logabs)
+    return SignedLogValue(*_kernels.jones_scan(p.N, p.x))
 
 
 def normalized_log(p: EvaluationPoint, v: SignedLogValue) -> float:
@@ -177,7 +169,4 @@ def f_max(p: EvaluationPoint) -> tuple[int, SignedLogValue]:
     """Exhaustive scan for the index and value of max_k |f(k)|, k < N."""
     sgnf, logf = _kernels.jones_prefix(p.N, p.x)
     k = int(np.argmax(logf))
-    s = int(sgnf[k])
-    if s == 0:
-        return k, SignedLogValue.zero()
-    return k, SignedLogValue(s, float(logf[k]))
+    return k, SignedLogValue(int(sgnf[k]), float(logf[k]))

@@ -124,6 +124,9 @@ class ConvergenceRecord:
         self.delta = self.finite_value - self.predicted
 
 
+_THEOREM3 = LimitBranch(5.0 / 6.0, 7.0 / 6.0, ThetaVariant.MINUS_HALF, 2.0)
+
+
 def limit_theorem3(r: float) -> float:
     """Limit of 2 pi log|J_N(E; exp(2 pi i r/N))| / N.
 
@@ -141,11 +144,7 @@ def limit_theorem3(r: float) -> float:
             f"non-integer r must satisfy 5/6 < r < 7/6, got {r}",
             interval="positive integers or (5/6, 7/6)",
         )
-    th = theta_r(r, ThetaVariant.MINUS_HALF)
-    return (
-        2.0 * lobachevsky(r * math.pi + th / 2.0)
-        - 2.0 * lobachevsky(r * math.pi - th / 2.0)
-    ) / r
+    return float(_THEOREM3.evaluate(r)) / r
 
 
 def limit_V(x):

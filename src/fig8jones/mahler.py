@@ -43,8 +43,9 @@ __all__ = [
 
 
 class NearUnitRootWarning(UserWarning):
-    """A root sits within tolerance of the unit circle; its Mahler
-    contribution is clamped at max(log|root|, 0)."""
+    """A root sits within tolerance of the unit circle, so which side of
+    the circle it lies on, and whether it contributes to the Mahler
+    measure, is uncertain."""
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,11 @@ def const_on_circle(value: float, xs) -> tuple[np.ndarray, np.ndarray]:
 
 def jones_on_circle(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log|J_N(E; exp(2 pi i x))|) over xs via the Habiro-Le
-    kernels."""
+    kernels, which fold any real x onto [0, 1/2] exactly."""
     from . import _kernels  # here, so homology and sw never load the kernels
 
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    xs = np.asarray(xs, dtype=float) % 1.0
     return _kernels.jones_grid(np.full(len(xs), N, dtype=np.int64), xs)
 
 
@@ -125,8 +125,9 @@ def mahler_from_roots(f: LaurentPolynomialZ, tol: float = 1e-9) -> float:
     """m(f) = log|lead| + sum of log|root| over roots outside the unit
     circle, via companion-matrix root finding.
 
-    Roots within tol of the unit circle contribute max(log|root|, 0) and
-    raise NearUnitRootWarning.  Degree-0 polynomials give log|constant|.
+    Every root contributes max(log|root|, 0).  Roots within tol of the
+    unit circle, whose side of it is uncertain, raise
+    NearUnitRootWarning.  Degree-0 polynomials give log|constant|.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -147,11 +148,8 @@ def mahler_from_roots(f: LaurentPolynomialZ, tol: float = 1e-9) -> float:
             NearUnitRootWarning,
             stacklevel=2,
         )
-    for mag, is_near in zip(mags, near):
-        if is_near:
-            m += max(math.log(mag), 0.0)
-        elif mag > 1.0:
-            m += math.log(mag)
+    for mag in mags[mags > 1.0]:
+        m += math.log(mag)
     return m
 
 

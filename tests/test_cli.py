@@ -158,6 +158,13 @@ class TestMahlerCommands:
         assert code == 0
         assert abs(float(out) - 0.9624236501192069) < 1e-10
 
+    def test_quad_poly_matches_roots(self):
+        # the midpoint rule on log|f| of the fig8 Alexander polynomial
+        # converges geometrically: 64 samples give all 15 printed digits
+        _, roots, _ = run_cli("mahler", "roots", "--poly", "-1,3,-1@-1")
+        code, out, _ = run_cli("mahler", "quad", "--poly", "-1,3,-1@-1", "--n", "64")
+        assert code == 0 and out == roots == "0.962423650119207\n"
+
     def test_homology_float(self):
         code, out, _ = run_cli("mahler", "homology", "--N", "4", "--method", "float")
         assert code == 0 and out.strip() == "45"

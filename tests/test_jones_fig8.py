@@ -240,6 +240,22 @@ class TestFMax:
         assert abs(k - round(5 * N / 6)) <= 1
 
 
+def test_kernel_zeros_are_zero_values(monkeypatch):
+    # the kernels give log -inf exactly where the sign is 0, so a zero
+    # they return is SignedLogValue.zero() as it stands
+    monkeypatch.setattr(_kernels, "jones_scan", lambda N, x: (0, -math.inf))
+    monkeypatch.setattr(_kernels, "jones_prefix", lambda N, x: (
+        np.array([1, -1, 0, 0], dtype=np.int8), np.array([0.0, 0.5, -np.inf, -np.inf])))
+    p = EvaluationPoint(4, 0.3)
+    assert colored_jones(p) == SignedLogValue.zero()
+    assert partial_product_f(2, p) == SignedLogValue.zero()
+    assert partial_product_f(3, p) == SignedLogValue.zero()
+    assert partial_product_f(1, p) == SignedLogValue(-1, 0.5)
+    monkeypatch.setattr(_kernels, "jones_prefix", lambda N, x: (
+        np.zeros(N, dtype=np.int8), np.full(N, -np.inf)))
+    assert f_max(p) == (0, SignedLogValue.zero())
+
+
 def sign_structure_report(N: int, r: float):
     """Scan the paper's items (1)-(4) for 5/6 < r < 1; returns dict of bools."""
     p = EvaluationPoint.from_r(N, r)

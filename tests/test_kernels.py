@@ -6,6 +6,24 @@ import pytest
 from fig8jones import _kernels
 
 
+def mpmath_jones(N, x, dps, vanishes=lambda j: False):
+    """sum_k prod_{j<=k} (2cos 2 pi xN - 2cos 2 pi xj) in mpmath at dps
+    digits, x (a float or an mpf) taken exactly; the product stops
+    before the first j where vanishes(j)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        gN = 2 * mpmath.cos(2 * mpmath.pi * x * N)
+        total = prod = mpmath.mpf(1)
+        for j in range(1, N):
+            if vanishes(j):
+                break
+            prod *= gN - 2 * mpmath.cos(2 * mpmath.pi * x * j)
+            total += prod
+        return total
+
+
 class TestBackendDispatch:
     def test_default_backend_name(self):
         # benchmark records carry this name
@@ -31,24 +49,13 @@ class TestScanAgreement:
         # held to when they had two implementations
         import mpmath
 
-        def oracle(N, x, vanishes=lambda j: False):
-            with mpmath.workdps(40):
-                gN = 2 * mpmath.cos(2 * mpmath.pi * x * N)
-                total = prod = mpmath.mpf(1)
-                for j in range(1, N):
-                    if vanishes(j):
-                        break
-                    prod *= gN - 2 * mpmath.cos(2 * mpmath.pi * x * j)
-                    total += prod
-                return total
-
         def check(got, z):
             assert got[0] == int(mpmath.sign(z))
             want = float(mpmath.log(abs(z)))
             assert abs(got[1] - want) <= 1e-11 * max(1.0, abs(want))
 
         for N, x in self.CASES:
-            check(_kernels.jones_scan(N, x), oracle(N, mpmath.mpf(x)))
+            check(_kernels.jones_scan(N, x), mpmath_jones(N, x, 40))
         # x = r/N exactly: factor j vanishes when r (c -+ j) = 0 mod N
         # (960, 5, 800), (450, 2, 300) and (400, 3, 301) stop at j = 160,
         # 150 and 99, far from both ends of the row; their terms keep one
@@ -57,8 +64,8 @@ class TestScanAgreement:
         for c, r, N in ((801, 1, 800), (799, 1, 800), (803, 3, 800),
                         (960, 5, 800), (450, 2, 300), (400, 3, 301),
                         (5, 1, 10**7)):
-            z = oracle(c, mpmath.mpf(r) / N,
-                       lambda j: r * (c - j) % N == 0 or r * (c + j) % N == 0)
+            z = mpmath_jones(c, mpmath.mpf(r) / N, 40,
+                             lambda j: r * (c - j) % N == 0 or r * (c + j) % N == 0)
             (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), r, N)
             check((s, l), z)
 
@@ -129,13 +136,8 @@ class TestScanAgreement:
         for N, r in ((194, 0.995), (90, 0.99), (81, 0.99)):
             x = round(r * 2**40) / 2**40
             assert _kernels._dyadic(np.array([N]), np.array([x]))[0]
+            z = mpmath_jones(N, x, 60)
             with mpmath.workdps(60):
-                xm = mpmath.mpf(x)
-                gN = 2 * mpmath.cos(2 * mpmath.pi * xm * N)
-                z = prod = mpmath.mpf(1)
-                for j in range(1, N):
-                    prod *= gN - 2 * mpmath.cos(2 * mpmath.pi * xm * j)
-                    z += prod
                 want = float(mpmath.log(abs(z)))
             s, l = _kernels.jones_scan(N, x)
             assert s == int(mpmath.sign(z)), (N, x)
@@ -402,20 +404,11 @@ class TestColumnBlocks:
         # are well conditioned
         import mpmath
 
-        def oracle(N, x):
-            with mpmath.workdps(60):
-                gN = 2 * mpmath.cos(2 * mpmath.pi * x * N)
-                z = prod = mpmath.mpf(1)
-                for j in range(1, N):
-                    prod *= gN - 2 * mpmath.cos(2 * mpmath.pi * x * j)
-                    z += prod
-                return z
-
         for (s, l), N, x in ((_kernels.jones_scan(3000, 1 / 3000), 3000, mpmath.mpf(1 / 3000)),
                              (_kernels.jones_grid_exact(np.array([3000]), 1, 3000), 3000,
                               mpmath.mpf(1) / 3000),
                              (_kernels.jones_scan(4096, 2.0**-12), 4096, mpmath.mpf(2.0**-12))):
-            z = oracle(N, x)
+            z = mpmath_jones(N, x, 60)
             assert z > mpmath.mpf(2) ** 1100
             assert s == 1 and abs(l - float(mpmath.log(z))) <= 1e-11 * float(mpmath.log(z)), (N, x)
         # beside those rows in one call, colors whose row dies at j = 1

@@ -138,6 +138,17 @@ class TestQuadrature:
         assert math.isfinite(a)
         assert abs(a - b) < 1e-2
 
+    def test_jones_on_circle_is_the_grid_at_any_real_x(self):
+        # the grid folds x exactly, so J(-x) = J(x) holds bit for bit;
+        # an x rounded by x % 1 first missed it at -0.1
+        from fig8jones import _kernels
+
+        xs = np.array([-0.3, -0.1, 0.1, 1.1])
+        s, l = jones_on_circle(50, xs)
+        gs, gl = _kernels.jones_grid(np.full(4, 50), xs)
+        assert s.tobytes() == gs.tobytes() and l.tobytes() == gl.tobytes()
+        assert l[1].tobytes() == l[2].tobytes()
+
     def test_jones_on_circle_rejects_color_zero(self):
         with pytest.raises(ValueError):
             jones_on_circle(0, np.array([0.25]))
