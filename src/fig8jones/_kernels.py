@@ -46,7 +46,7 @@ grid take the same one:
   this route takes colors up to ``_MAX_FLOAT_COLOR`` = 2^25 and raises
   DomainError past it, once per call, before any row is formed.
 
-Routes: both routes return one contract, a pair (lengths, rows).
+Routes: both routes return one contract, (lengths, rows[, near]).
 lengths[i] is the number of factors row i sums: c - 1 on the float
 route, live - 1 on the rational one (Early exit, below).  rows(i) is
 the fill of the rows of an index array i: fill(j0, n) prepares a block
@@ -60,7 +60,20 @@ part's cosines once, laid out (t, piece, 1), and subtracts them across
 the chunk's rows; rows of distinct x write their own cosines.  On both
 routes a factor under ``_TAU`` = 2^-16 in magnitude, near one of its
 roots where a cosine difference keeps few digits, is recomputed as the
-route's sine product of its exact phases (``_refine``).
+route's sine product of its exact phases (``_refine``).  The rational
+route flags, once per row, the rows where that can happen (``_near``);
+the float route flags none, which scans every row.  On folded phases in
+[0, Q/2], where cos is monotone, a factor with q_j != q_c is at least
+the gap from q_c to a neighbouring phase, 4 sin(pi/Q) sin(pi m/Q) with
+m = max(min(2 q_c, Q - 2 q_c) - 1, 1), and its two cosines are off by
+about 1e-15, so a row whose gap is at least 2 ``_TAU`` has no factor
+under ``_TAU`` but the exact zeros at q_j == q_c (one cosine rule, so
+the same value twice).  Their sine product would be -0.0, and a zero of
+either sign gives the same sum: its Horner step is 1 + (+-0) b = 1, and
+its piece's product a = +-0 turns the maps to its right into a zero
+term, which leaves a nonzero b_l as it is; a zero sum reads sign 0 and
+log -inf whatever its sign.  So a part scans only its chunk's near
+rows, and a chunk with none skips the scan.
 
 The x <-> 1-x fold: ``jones_grid`` evaluates each distinct
 (color, folded x) of its dyadic points once, in one rational route
@@ -104,12 +117,14 @@ would.  A row of n < _L factors takes steps from g(n + 1) only.
 Layout: both grid routes run through one chunk driver (``_rows``) on
 blocks of factors laid out (t, piece, row), t < _L the place in the
 piece, so Horner step t reads one contiguous row of the block.  Rows
-are sorted by length and cut into chunks of at most ``_PIECES`` pieces
-(at least one row), so the per-point cost is a share of a few numpy
-calls per step.  A block is formed a part of rows at a time, at most
-``_CHUNK_FACTORS`` factors, in two buffers allocated once per call:
-chunk-sized buffers freed and allocated again chunk by chunk sit at the
-allocator's mmap threshold and fault their pages in again.  A chunk
+are sorted by length, the near rows (Routes, above) last among rows of
+one length so that they gather in few chunks, and cut into chunks of at
+most ``_PIECES`` pieces (at least one row), so the per-point cost is a
+share of a few numpy calls per step.  A block is formed a part of rows
+at a time, at most ``_CHUNK_FACTORS`` factors, in two buffers allocated
+once per call: chunk-sized buffers freed and allocated again chunk by
+chunk sit at the allocator's mmap threshold and fault their pages in
+again.  A chunk
 holds as many pieces per row as its longest row; a shorter row runs
 past its own first vanishing factor, and its pieces past its last one
 are replaced by the identity map, which composes exactly.  Only a lone
@@ -209,15 +224,22 @@ def _sin_pi(xh, xl, m):
     return p
 
 
-def _refine(g, tmp, j0, sine):
+def _refine(g, tmp, j0, sine, scan=None):
     """g with each factor under ``_TAU`` in magnitude replaced, in place,
     by sine(r, j), the route's sine product of factor j (an integer
     array) of row r.  g is a part (t, piece, row) of a block whose first
-    factors are g(j0 + 1); tmp is a float scratch of g's shape."""
-    a = np.abs(g, out=tmp)
+    factors are g(j0 + 1); tmp is a float scratch of g's shape.  scan,
+    if given, holds the indices of the only rows scanned: the rational
+    route certifies that no factor of its other rows lies under
+    ``_TAU`` but 0.0 (``_near``), whose sine product would be -0.0 and
+    gives the same sum (Routes, in the module docstring)."""
+    a = np.abs(g, out=tmp) if scan is None else np.abs(g[:, :, scan])
     if a.min() < _TAU:
         hit = np.flatnonzero(a < _TAU)
-        t, p, r = np.unravel_index(hit, g.shape)
+        t, p, r = np.unravel_index(hit, a.shape)
+        if scan is not None:
+            r = scan[r]
+            hit = np.ravel_multi_index((t, p, r), g.shape)
         g.flat[hit] = sine(r, j0 + 1 + t + _L * p)
     return g
 
@@ -305,10 +327,21 @@ def _live(c, k, Q):
     return np.minimum((c - 1) % d, (-c - 1) % d) + 1
 
 
+def _near(qc, Q):
+    """Which rows of folded color phases qc at denominator Q can hold a
+    factor under ``_TAU`` that is not 0.0 (Routes, in the module
+    docstring): cos is monotone on [0, pi], so a factor at q_j != q_c
+    is at least the gap to a neighbouring phase, 4 sin(pi/Q) sin(pi m/Q),
+    and a row is near when that is under 2 ``_TAU``."""
+    m = np.maximum(np.minimum(2 * qc, Q - 2 * qc) - 1, 1)
+    return 4.0 * np.sin(np.pi / Q) * np.sin(m * (np.pi / Q)) < 2.0 * _TAU
+
+
 def _rational_rows(c, k, Q):
     """The rational route (module docstring) of the colors of array c at
-    x = k/Q, k an int or an array of c's shape, as (lengths, rows), the
-    lengths the live lengths (``_live``) less one."""
+    x = k/Q, k an int or an array of c's shape, as (lengths, rows, near),
+    the lengths the live lengths (``_live``) less one and near the rows
+    whose factors can fall under ``_TAU`` without being 0.0."""
     k = np.broadcast_to(k, c.shape)
     live = _live(c, k, Q)
     # a table when it costs no more cosines than the rows would take
@@ -323,12 +356,16 @@ def _rational_rows(c, k, Q):
         cos = lambda q, out: _twocos(_fold(q, Q, None if out is None else out.view(np.int64)), Q, out)
     qc = _fold(c * k, Q)
     gc = cos(c * k, None)
+    near = _near(qc, Q)
 
     def rows(i):
         gi, qi, ki = gc[i], qc[i], k[i]
         # rows that share their k take one cosine row, (t, piece, 1)
         shared = len(ki) > 1 and (ki == ki[0]).all()
         ku = ki[:1] if shared else ki
+        # the rows to scan for near-root factors: all, some or none
+        flagged = np.flatnonzero(near[i])
+        scan = None if len(flagged) == len(i) else flagged
 
         def sine(r, j):
             qj = _fold(ki[r] * j, Q)
@@ -343,13 +380,13 @@ def _rational_rows(c, k, Q):
                 q = np.arange(t0, t0 + len(out))[:, None, None] + j
                 q = np.multiply(ku, q, out=None if shared else tmp.view(np.int64))
                 g = np.subtract(gi, cos(q, None if shared else out), out=out)
-                return _refine(g, tmp, j0 + t0, sine)
+                return _refine(g, tmp, j0 + t0, sine, scan) if len(flagged) else g
 
             return part
 
         return fill
 
-    return live - 1, rows
+    return live - 1, rows, near
 
 
 def _norm(m, e):
@@ -429,12 +466,13 @@ def _chunks(pieces):
         a = b
 
 
-def _rows(lengths, rows):
-    """Row-wise (signs, log|J|) of a route (lengths, rows) (module
-    docstring).  Sorted by length, the rows share ``_chunks``, whose
-    buffers are allocated once."""
+def _rows(lengths, rows, near=None):
+    """Row-wise (signs, log|J|) of a route (lengths, rows[, near]) (module
+    docstring).  Sorted by length, and the near rows last among rows of
+    one length, the rows share ``_chunks``, whose buffers are allocated
+    once."""
     pieces = -(-lengths // _L)
-    order = np.argsort(lengths, kind="stable")
+    order = np.lexsort((lengths,) if near is None else (near, lengths))
     chunks = [order[sl] for sl in _chunks(np.maximum(pieces[order], 1).tolist())]
     size = max((len(i) * min(max(int(pieces[i[-1]]), 1), _PIECES) for i in chunks), default=0)
     buf = np.split(np.empty(2 * min(_L * size, _CHUNK_FACTORS)), 2)
@@ -477,8 +515,8 @@ def _ratio(xs):
 
 
 def _lone(N, x):
-    """The route (lengths, rows) of the lone row of color N at x, the one
-    ``jones_grid`` takes for the point."""
+    """The route (lengths, rows[, near]) of the lone row of color N at
+    x, the one ``jones_grid`` takes for the point."""
     c, xs = np.array([N]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
         (k,), (Q,) = _ratio(xs)
@@ -506,7 +544,7 @@ def _prefix_blocks(fill, n):
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N,
     the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
-    _, rows = _lone(N, x)
+    rows = _lone(N, x)[1]
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
     sgnf[0], logf[0] = 1, 0.0
     # each block's first log and sign take the row's prefix before it,

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ZeroValueError
-from .special_functions import ThetaVariant, theta_r
 
 __all__ = [
     "SignedLogValue",
@@ -154,6 +153,8 @@ def critical_indices(r: float, N: int) -> CriticalIndices:
     if not (5.0 / 6.0 < r < 1.0):
         raise DomainError(f"critical indices need 5/6 < r < 1, got {r}",
                           interval="(5/6, 1)")
+    from .special_functions import ThetaVariant, theta_r  # here, so eval never loads it
+
     th = theta_r(r, ThetaVariant.MINUS_HALF)
     A = N * (1.0 - r) / r
     B = N * th / (2.0 * r * math.pi)

@@ -22,11 +22,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import PrecisionError, SingularityError
-from .limits import ConvergenceRecord
+
+if TYPE_CHECKING:
+    from .limits import ConvergenceRecord
 
 __all__ = [
     "LaurentPolynomialZ",
@@ -348,6 +351,9 @@ def silver_williams_convergence(
     (the growth index of this family); N where the homology is infinite
     (order 0) produce flagged records.
     """
+    # here, so the other commands never load the limit curves
+    from .limits import ConvergenceRecord
+
     predicted = mahler_from_roots(f)
     Ns = [int(N) for N in N_list]
     _check_covers(f, Ns)

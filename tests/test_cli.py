@@ -375,7 +375,9 @@ def loaded_modules(*argv) -> list[str]:
      "_kernels limits special_functions"),
     (("figure", "cable", "--N", "40", "--r", "1", "--out", "-"), "_kernels satellite"),
     (("mahler", "sw", "--N-list", "2,5", "--out", "-"), "limits mahler special_functions"),
-    (("eval", "--N", "100", "--r", "1"), "_kernels jones_fig8 special_functions"),
+    (("eval", "--N", "100", "--r", "1"), "_kernels jones_fig8"),
+    (("mahler", "jones-growth", "--N-list", "2", "--n-quad", "64", "--out", "-"),
+     "_kernels mahler"),
 ])
 def test_each_command_imports_only_its_modules(argv, modules):
     # under python -m the cli module runs as __main__, not as fig8jones.cli

@@ -765,3 +765,97 @@ class TestGrids:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda p: _kernels.jones_scan(*p), pts * 4))
         assert got == expected * 4
+
+
+def midpoint_rows(n):
+    # the rational rows of jones_grid's n-point midpoint grid: x =
+    # (2i + 1)/(2n), one row per x <-> 1 - x pair, k odd below n
+    return np.arange(1, n, 2), 2 * n
+
+
+class TestNearRows:
+    # the rational route scans for near-root factors only the rows that
+    # _near flags: a factor of any other row is at least _TAU, or 0.0
+    # exactly, whose sine product -0.0 sums the same
+    @staticmethod
+    def assert_unflagged_rows_have_no_small_factor(monkeypatch, c, k, Q):
+        # every factor the route's own fill forms, unrefined, over each
+        # row's width or a whole period of its phases, whichever is less
+        L = _kernels._L
+        c = np.asarray(c, dtype=np.int64)
+        k = np.broadcast_to(np.asarray(k, dtype=np.int64), c.shape)
+        monkeypatch.setattr(_kernels, "_refine", lambda g, *args: g)
+        _, rows, near = _kernels._rational_rows(c, k, Q)
+        n = -(-min(int(c.max()), Q) // L)
+        step = max(1, (1 << 20) // (n * L))
+        for a in range(0, len(c), step):
+            i = np.arange(a, min(a + step, len(c)))
+            g = np.abs(block(rows(i), L, n, len(i))[:, :, ~near[i]])
+            small = (g > 0.0) & (g < _kernels._TAU)
+            assert not small.any(), (Q, c[i][~near[i]][np.flatnonzero(small.any(axis=(0, 1)))[:3]])
+        monkeypatch.undo()
+        return near
+
+    def test_unflagged_rows_have_no_small_factor(self, monkeypatch):
+        for n in (1 << 14, 1 << 16):
+            k, Q = midpoint_rows(n)
+            for N in (100, 300, 1000):
+                near = self.assert_unflagged_rows_have_no_small_factor(
+                    monkeypatch, np.full(len(k), N), k, Q)
+                assert 0 < near.sum() < len(k) // 4, (n, N)
+        # the cable profiles at integer r: every odd color, Q = N, one
+        # of them odd
+        for N, r in [(3000, r) for r in range(1, 8)] + [(1001, 7)]:
+            near = self.assert_unflagged_rows_have_no_small_factor(
+                monkeypatch, np.arange(1, 2 * N, 2), r, N)
+            assert near.sum() < N // 50, (N, r)
+        # random rows, with x = 0 (Q = 1), x = 1/2 (Q = 2) and k = 0
+        rng = np.random.default_rng(24)
+        for Q in [1, 2, 3, 4, 7, 64] + rng.integers(5, 20000, size=20).tolist():
+            c = rng.integers(1, 3 * Q + 2, size=50)
+            for k in (0, int(rng.integers(0, Q)), rng.integers(0, Q, size=50)):
+                self.assert_unflagged_rows_have_no_small_factor(monkeypatch, c, k, Q)
+
+    def test_near_flags_change_no_bit_and_only_flagged_chunks_scan(self, monkeypatch):
+        n = 1 << 14
+        xs = (np.arange(n) + 0.5) / n
+        cs = np.arange(1, 6000, 2)
+        rng = np.random.default_rng(25)
+        dN = rng.integers(1, 3000, size=400)
+        dx = rng.integers(0, 1 << 20, size=400) / (1 << rng.integers(1, 21, size=400))
+
+        def run():
+            out = [_kernels.jones_grid(np.full(n, N), xs) for N in (100, 300, 1000)]
+            out += [_kernels.jones_grid_exact(cs, r, 3000) for r in (1, 2, 3)]
+            out.append(_kernels.jones_grid(dN, dx))
+            out += [_kernels.jones_scan(int(N), float(x)) for N, x in zip(dN[:60], dx[:60])]
+            out += [_kernels.jones_prefix(int(N), float(x)) for N, x in zip(dN[:20], dx[:20])]
+            out += [_kernels.jones_prefix(3000, 1 / 3000), _kernels.jones_scan(3000, 2 / 3000)]
+            return [np.asarray(v).tobytes() for pair in out for v in pair]
+
+        refine, seen = _kernels._refine, []
+
+        def spy(g, tmp, j0, sine, scan=None):
+            seen.append(g.shape[2] if scan is None else len(scan))
+            return refine(g, tmp, j0, sine, scan)
+
+        monkeypatch.setattr(_kernels, "_refine", spy)
+        flagged = run()
+        # the N = 1000 quadrature grid: by default only the flagged rows
+        # are scanned, in the parts of the chunks that hold them; with
+        # every row near, every row in every part of its chunk
+        k, Q = midpoint_rows(n)
+        lengths, _, near = _kernels._rational_rows(np.full(len(k), 1000), k, Q)
+        pieces = -(-lengths // _kernels._L)
+        chunks = [near[np.lexsort((near, lengths))][sl] for sl in _kernels._chunks(pieces.tolist())]
+        seen.clear()
+        _kernels.jones_grid(np.full(n, 1000), xs)
+        scanned = list(seen)
+        monkeypatch.setattr(_kernels, "_near", lambda qc, Q: np.ones(len(qc), dtype=bool))
+        assert run() == flagged
+        seen.clear()
+        _kernels.jones_grid(np.full(n, 1000), xs)
+        parts = len(seen) // len(chunks)
+        assert len(seen) == parts * len(chunks) and sum(seen) == parts * len(k)
+        assert len(scanned) <= parts * sum(bool(f.any()) for f in chunks) < len(seen) // 4
+        assert sum(scanned) == parts * near.sum()

@@ -16,7 +16,8 @@ difference, 0 when every command is identical.
 
 The list covers the benchmark's commands (the paper's figures, the
 cable profiles at integer and non-integer r, the quadrature growth
-table and long scans), scans on the rational route, ``mahler roots``
+table and long scans), scans, profiles and quadrature on the rational
+route where it flags few or all of its rows as near a root, ``mahler roots``
 (one that warns of a root near the circle), ``quad --poly`` and exact
 ``homology``, the six ``--check`` commands, commands for the error exits
 (2, 64, 70, 73) and ``--out`` writes to files and to stdout.
@@ -56,6 +57,14 @@ COMMANDS = (
     ("eval", "--N", "40000000", "--r", "1"),  # past the float route: exit 2
     ("eval", "--N", "194", "--x", "0.9949999999998909"),
     ("eval", "--N", "4096", "--x", "0.000244140625"),
+    # the rational route at the edges of its near-row flags: Q = 1 and
+    # Q = 2, an odd Q = N with flagged colors, a dyadic profile and
+    # quadrature at Q = 2^17
+    ("eval", "--N", "3", "--x", "0"),
+    ("eval", "--N", "1000", "--x", "0.5"),
+    ("figure", "cable", "--N", "1001", "--r", "7", "--out", "-"),
+    ("figure", "cable", "--N", "1024", "--r", "0.5", "--out", "-"),
+    ("mahler", "quad", "--jones", "300", "--n", "65536"),
     ("mahler", "roots", "--poly", "-1,3,-1@-1"),
     ("mahler", "roots", "--poly", "1,-2,1"),  # NearUnitRootWarning
     ("mahler", "quad", "--poly", "-1,3,-1@-1", "--n", "4096"),
