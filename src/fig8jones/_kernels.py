@@ -46,7 +46,7 @@ grid take the same one:
   this route takes colors up to ``_MAX_FLOAT_COLOR`` = 2^25 and raises
   DomainError past it, once per call, before any row is formed.
 
-Routes: both routes return one contract, (lengths, rows[, near]).
+Routes: both routes return one contract, (lengths, rows, near).
 lengths[i] is the number of factors row i sums: c - 1 on the float
 route, live - 1 on the rational one (Early exit, below).  rows(i) is
 the fill of the rows of an index array i: fill(j0, n) prepares a block
@@ -62,7 +62,7 @@ routes a factor under ``_TAU`` = 2^-16 in magnitude, near one of its
 roots where a cosine difference keeps few digits, is recomputed as the
 route's sine product of its exact phases (``_refine``).  The rational
 route flags, once per row, the rows where that can happen (``_near``);
-the float route flags none, which scans every row.  On folded phases in
+the float route flags every row and scans them all.  On folded phases in
 [0, Q/2], where cos is monotone, a factor with q_j != q_c is at least
 the gap from q_c to a neighbouring phase, 4 sin(pi/Q) sin(pi m/Q) with
 m = max(min(2 q_c, Q - 2 q_c) - 1, 1), and its two cosines are off by
@@ -246,9 +246,9 @@ def _refine(g, tmp, j0, sine, scan=None):
 
 def _float_rows(cs, xs):
     """The float route (module docstring) of the paired colors cs and
-    positions xs, as (lengths, rows).  x is folded and the colors are
-    checked once per call; the tables C2, S2 are formed per chunk, by
-    rows(i), one when its rows share their x, else one per row."""
+    positions xs, as (lengths, rows, near), near all True.  x is folded
+    and the colors checked once per call; rows(i) forms the tables C2,
+    S2 per chunk, one when its rows share their x, else one per row."""
     cmax = int(cs.max(initial=1))
     if cmax > _MAX_FLOAT_COLOR:
         raise DomainError(f"color {cmax} at a non-dyadic x is past the float route's "
@@ -286,7 +286,7 @@ def _float_rows(cs, xs):
 
         return fill
 
-    return cs - 1, rows
+    return cs - 1, rows, np.ones(len(cs), dtype=bool)
 
 
 def _twocos(q, Q, out=None):
@@ -466,13 +466,13 @@ def _chunks(pieces):
         a = b
 
 
-def _rows(lengths, rows, near=None):
-    """Row-wise (signs, log|J|) of a route (lengths, rows[, near]) (module
+def _rows(lengths, rows, near):
+    """Row-wise (signs, log|J|) of a route (lengths, rows, near) (module
     docstring).  Sorted by length, and the near rows last among rows of
     one length, the rows share ``_chunks``, whose buffers are allocated
     once."""
     pieces = -(-lengths // _L)
-    order = np.lexsort((lengths,) if near is None else (near, lengths))
+    order = np.lexsort((near, lengths))
     chunks = [order[sl] for sl in _chunks(np.maximum(pieces[order], 1).tolist())]
     size = max((len(i) * min(max(int(pieces[i[-1]]), 1), _PIECES) for i in chunks), default=0)
     buf = np.split(np.empty(2 * min(_L * size, _CHUNK_FACTORS)), 2)
@@ -515,7 +515,7 @@ def _ratio(xs):
 
 
 def _lone(N, x):
-    """The route (lengths, rows[, near]) of the lone row of color N at
+    """The route (lengths, rows, near) of the lone row of color N at
     x, the one ``jones_grid`` takes for the point."""
     c, xs = np.array([N]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
@@ -579,23 +579,21 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     # the float route first, so that a color past its limit raises
     # before any row is summed
     rest = np.flatnonzero(~exact)
-    if len(rest):
-        sgn[rest], log[rest] = _rows(*_float_rows(Ns[rest], xs[rest]))
+    sgn[rest], log[rest] = _rows(*_float_rows(Ns[rest], xs[rest]))
     dyadic = np.flatnonzero(exact)
-    if len(dyadic):
-        # one exact key N + x per distinct (color, folded x).  Without
-        # return_inverse, np.unique first imports numpy.ma, some 25 ms of
-        # a short CLI run
-        keys, inv = np.unique(Ns[dyadic] + xs[dyadic], return_inverse=True)
-        c = keys.astype(np.int64)
-        k, Q = _ratio(keys - c)
-        us = np.empty(len(keys), dtype=np.int8)
-        ul = np.empty(len(keys), dtype=np.float64)
-        Qs, by_Q = np.unique(Q, return_inverse=True)
-        for g, q in enumerate(Qs.tolist()):
-            i = np.flatnonzero(by_Q == g)
-            us[i], ul[i] = _rows(*_rational_rows(c[i], k[i], q))
-        sgn[dyadic], log[dyadic] = us[inv], ul[inv]
+    # one exact key N + x per distinct (color, folded x).  Without
+    # return_inverse, np.unique first imports numpy.ma, some 25 ms of a
+    # short CLI run
+    keys, inv = np.unique(Ns[dyadic] + xs[dyadic], return_inverse=True)
+    c = keys.astype(np.int64)
+    k, Q = _ratio(keys - c)
+    us = np.empty(len(keys), dtype=np.int8)
+    ul = np.empty(len(keys), dtype=np.float64)
+    Qs, by_Q = np.unique(Q, return_inverse=True)
+    for g, q in enumerate(Qs.tolist()):
+        i = np.flatnonzero(by_Q == g)
+        us[i], ul[i] = _rows(*_rational_rows(c[i], k[i], q))
+    sgn[dyadic], log[dyadic] = us[inv], ul[inv]
     return sgn, log
 
 

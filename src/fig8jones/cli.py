@@ -17,8 +17,10 @@ monkeypatch) is what the command calls.
 
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 numeric or
 precision error, or not enough memory, 73 the output file cannot be
-written (one line on stderr, no traceback).  CSV cells carry 15
-significant digits; identical flags produce byte-identical files.
+written (one line on stderr, no traceback).  A warning is one stderr
+line too, ``fig8jones: warning: <Category>: <message>``, and leaves the
+exit code as it is.  CSV cells carry 15 significant digits; identical
+flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import importlib
 import math
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -77,7 +80,7 @@ def _fmt(v: float) -> str:
 
 
 def _write_rows(path: str, header: str, rows) -> None:
-    text = header + "\n" + "\n".join(rows) + "\n"
+    text = "\n".join([header, *rows]) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -153,8 +156,6 @@ def _cmd_eval(args) -> int:
     else:
         p = EvaluationPoint(args.N, args.x)
     v = colored_jones(p)
-    if v.sign == 0:
-        raise ZeroValueError(f"J_N vanishes at N={p.N}, x={p.x}")
     print(f"sign={v.sign:+d} log_abs={_fmt(v.logabs)} "
           f"normalized={_fmt(_cli.normalized_log(p, v))}")
     return EXIT_OK
@@ -250,7 +251,7 @@ def _cmd_mahler(args) -> int:
     sub = args.mahler_cmd
     if sub == "roots":
         f = _cli.LaurentPolynomialZ.parse(args.poly)
-        print(_fmt(_cli.mahler_from_roots(f, args.tol)))
+        print(_fmt(_cli.mahler_from_roots(f)))
     elif sub == "quad":
         if args.const is not None:
             sample = partial(_cli.const_on_circle, args.const)
@@ -341,7 +342,6 @@ def build_parser() -> _Parser:
 
     m = msub.add_parser("roots", help="m(f) from roots; poly syntax c0,c1,...@low")
     m.add_argument("--poly", required=True)
-    m.add_argument("--tol", type=float, default=1e-9)
 
     m = msub.add_parser("quad", help="m via circle quadrature")
     src = m.add_mutually_exclusive_group(required=True)
@@ -392,6 +392,10 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _warn(message, category, *_):
+    print(f"fig8jones: warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -401,7 +405,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.fn(args)
+        # a warning is one stderr line; the caller's warning state comes back
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            return args.fn(args)
     except (PrecisionError, SingularityError, ZeroValueError) as exc:
         print(f"fig8jones: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

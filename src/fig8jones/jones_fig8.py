@@ -75,7 +75,7 @@ class EvaluationPoint:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if not (0.0 <= self.x < 1.0) or not math.isfinite(self.x):
+        if not 0.0 <= self.x < 1.0:
             raise ValueError(f"x must lie in [0, 1), got {self.x}")
 
     @property

@@ -124,29 +124,29 @@ def jones_on_circle(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
 # Mahler measure
 # ---------------------------------------------------------------------------
 
-def mahler_from_roots(f: LaurentPolynomialZ, tol: float = 1e-9) -> float:
+# Roots this close to the unit circle raise NearUnitRootWarning
+_NEAR_UNIT = 1e-9
+
+
+def mahler_from_roots(f: LaurentPolynomialZ) -> float:
     """m(f) = log|lead| + sum of log|root| over roots outside the unit
     circle, via companion-matrix root finding.
 
-    Every root contributes max(log|root|, 0).  Roots within tol of the
-    unit circle, whose side of it is uncertain, raise
-    NearUnitRootWarning.  Degree-0 polynomials give log|constant|.
+    Every root contributes max(log|root|, 0).  Roots within
+    ``_NEAR_UNIT`` of the unit circle, whose side of it is uncertain,
+    raise NearUnitRootWarning.  Degree-0 polynomials give log|constant|.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     coeffs = f.coefficients
-    if len(coeffs) == 1:
-        return math.log(abs(coeffs[0]))
     try:
         roots = np.roots(list(reversed(coeffs)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise PrecisionError(f"root finding failed: {exc}") from exc
     m = math.log(abs(coeffs[-1]))
     mags = np.abs(roots)
-    near = np.abs(mags - 1.0) <= tol
+    near = np.abs(mags - 1.0) <= _NEAR_UNIT
     if np.any(near):
         warnings.warn(
-            f"{int(np.sum(near))} root(s) of {f} within {tol} of the unit "
+            f"{int(np.sum(near))} root(s) of {f} within {_NEAR_UNIT} of the unit "
             "circle; contributions clamped at max(log|root|, 0)",
             NearUnitRootWarning,
             stacklevel=2,

@@ -47,7 +47,7 @@ def cable_profile(N: int, r: float) -> ColorProfile:
     """Profile of J_c over odd colors c in [1, 2N-1] at t = exp(2 pi i r/N)."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if not (0.0 < r < N) or not math.isfinite(r):
+    if not 0.0 < r < N:
         raise ValueError(f"r must satisfy 0 < r < N, got {r}")
     cs = np.arange(1, 2 * N, 2, dtype=np.int64)
     if float(r).is_integer():

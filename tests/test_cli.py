@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -148,6 +149,19 @@ class TestFigureCommand:
         assert abs(float(out) + 0.5074708032048268) < 1e-10
 
 
+# commands that warn, with their stdout and their one stderr line
+WARNINGS = [
+    pytest.param(("mahler", "roots", "--poly", "1,-2,1"), "0\n",
+                 "fig8jones: warning: NearUnitRootWarning: 2 root(s) of 1,-2,1@0 within "
+                 "1e-09 of the unit circle; contributions clamped at max(log|root|, 0)\n",
+                 id="roots"),
+    pytest.param(("mahler", "homology", "--N", "5", "--poly", "2,1"), "11\n",
+                 "fig8jones: warning: UserWarning: f(1) = 3; Alexander polynomials have "
+                 "f(1) = +-1, results may not be homology orders\n",
+                 id="homology"),
+]
+
+
 class TestMahlerCommands:
     def test_homology(self):
         code, out, _ = run_cli("mahler", "homology", "--N", "3")
@@ -186,6 +200,19 @@ class TestMahlerCommands:
         assert code == 0
         assert out.splitlines()[0] == "N,mahler,ratio"
 
+    @pytest.mark.parametrize("sub, header", [("sw", "N,finite,predicted,delta"),
+                                             ("jones-growth", "N,mahler,ratio")])
+    def test_empty_table_is_its_header(self, sub, header):
+        code, out, err = run_cli("mahler", sub, "--N-list", "", "--out", "-")
+        assert (code, out, err) == (0, header + "\n", "")
+
+    @pytest.mark.parametrize("argv, out, err", WARNINGS)
+    def test_warning_is_one_line(self, argv, out, err):
+        shown, filters = warnings.showwarning, list(warnings.filters)
+        assert run_cli(*argv) == (0, out, err)
+        # the caller's warning state comes back
+        assert warnings.showwarning is shown and warnings.filters == filters
+
 
 class TestChecksAndExitCodes:
     @pytest.mark.parametrize("cmd", [
@@ -214,6 +241,7 @@ class TestChecksAndExitCodes:
         ("mahler", "quad", "--const", "1", "--jones", "5"),
         ("eval", "--N", "5", "--r", "1", "--x", "0.2"),
         ("mahler", "roots", "--poly=-1,3,-1@-1", "--check"),
+        ("mahler", "roots", "--poly", "1,-2,1", "--tol", "1e-3"),
     ])
     def test_grammar_error_is_64_with_usage(self, cmd):
         code, out, err = run_cli(*cmd)
@@ -283,6 +311,16 @@ class TestChecksAndExitCodes:
         assert "a scan holds one block of about 2^15 terms whatever N is" in err
         assert "grow with N or the sample count" in err and "Traceback" not in err
 
+    def test_vanished_eval_is_70_in_one_line(self, monkeypatch):
+        # J_N = 0 has no normalized log; a stub gives the zero value
+        from fig8jones.jones_fig8 import SignedLogValue
+
+        monkeypatch.setattr(cli, "colored_jones", lambda p: SignedLogValue.zero())
+        code, out, err = run_cli("eval", "--N", "5", "--x", "0.25")
+        assert (code, out) == (70, "")
+        assert err == ("fig8jones: numeric error: J_N vanishes at N=5, x=0.25; "
+                       "normalized log undefined\n")
+
     def test_precision_error_is_70(self):
         code, _, err = run_cli("mahler", "homology", "--N", "200",
                                "--method", "float")
@@ -343,6 +381,11 @@ class TestProcessExit:
     ])
     def test_module_run_exit_codes(self, argv, expected):
         assert run_python("-m", "fig8jones.cli", *argv).returncode == expected
+
+    @pytest.mark.parametrize("argv, out, err", WARNINGS)
+    def test_module_run_warning_is_one_line(self, argv, out, err):
+        proc = run_python("-m", "fig8jones.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
 
     @pytest.mark.parametrize("argv", [("figure", "V"), ("mahler", "sw", "--N-list", "2,5")])
     def test_module_run_unwritable_out_is_73(self, tmp_path, argv):

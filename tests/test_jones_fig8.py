@@ -54,6 +54,10 @@ class TestEvaluationPoint:
             EvaluationPoint(3, 1.0)
         with pytest.raises(ValueError):
             EvaluationPoint(3, -0.1)
+        # the range test alone turns away nan and both infinities
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\), got "):
+                EvaluationPoint(3, x)
 
 
 class TestTermG:

@@ -110,7 +110,7 @@ class TestScanAgreement:
             # the kernel's cosine differences, under a threshold that
             # refines none of them
             monkeypatch.setattr(_kernels, "_TAU", 0.0)
-            _, rows = _kernels._float_rows(np.array([N]), np.array([x]))
+            _, rows, _ = _kernels._float_rows(np.array([N]), np.array([x]))
             g = row_factors(rows(np.array([0])), N - 1)
             monkeypatch.setattr(_kernels, "_TAU", tau)
             near = set((np.flatnonzero(np.abs(g) < tau) + 1).tolist())
@@ -507,8 +507,8 @@ class TestGrids:
                     assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
                 L = _kernels._L
                 pieces = np.maximum(-(-(cs - 1) // L), 1)
-                lengths, rows = _kernels._float_rows(cs, xs)
-                assert np.array_equal(lengths, cs - 1)
+                lengths, rows, near = _kernels._float_rows(cs, xs)
+                assert np.array_equal(lengths, cs - 1) and near.all()
                 for sl in _kernels._chunks(pieces.tolist()):
                     c = cs[sl]
                     g = block(rows(np.arange(len(cs))[sl]), min(L, int(c[-1])), int(pieces[sl][-1]), len(c))

@@ -109,10 +109,6 @@ class TestMahlerFromRoots:
                 m_sum = mahler_from_roots(f) + mahler_from_roots(g)
             assert abs(m_fg - m_sum) < 1e-9
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            mahler_from_roots(FIG8_ALEXANDER, tol=0.0)
-
 
 class TestQuadrature:
     def test_constant_one_is_exact_zero(self):

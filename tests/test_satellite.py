@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fig8jones.jones_fig8 import EvaluationPoint, colored_jones, normalized_log
@@ -65,6 +67,10 @@ class TestCableProfile:
             cable_profile(10, 0.0)
         with pytest.raises(ValueError):
             cable_profile(10, 10.0)
+        # the range test alone turns away nan and inf
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^r must satisfy 0 < r < N, got "):
+                cable_profile(10, r)
 
 
 class TestArgmaxColor:

@@ -18,9 +18,10 @@ The list covers the benchmark's commands (the paper's figures, the
 cable profiles at integer and non-integer r, the quadrature growth
 table and long scans), scans, profiles and quadrature on the rational
 route where it flags few or all of its rows as near a root, ``mahler roots``
-(one that warns of a root near the circle), ``quad --poly`` and exact
-``homology``, the six ``--check`` commands, commands for the error exits
-(2, 64, 70, 73) and ``--out`` writes to files and to stdout.
+(one that warns of a root near the circle), ``quad --poly``, exact
+``homology`` (one that warns of f(1) != +-1), a table with no rows, the
+six ``--check`` commands, commands for the error exits (2, 64, 70, 73)
+and ``--out`` writes to files and to stdout.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ COMMANDS = (
     ("figure", "cable", "--N", "3000", "--r", "2", "--out", "cable.csv"),
     ("figure", "cable", "--N", "3000", "--r", "3", "--out", "-"),
     ("mahler", "sw", "--N-list", SW, "--out", "sw.csv"),
+    ("mahler", "sw", "--N-list", "", "--out", "-"),  # a table with no rows
     ("mahler", "jones-growth", "--N-list", "100,300,1000", "--out", "growth.csv"),
     ("mahler", "quad", "--jones", "100"),
     ("eval", "--N", "1000000", "--r", "1"),
@@ -69,6 +71,7 @@ COMMANDS = (
     ("mahler", "roots", "--poly", "1,-2,1"),  # NearUnitRootWarning
     ("mahler", "quad", "--poly", "-1,3,-1@-1", "--n", "4096"),
     ("mahler", "homology", "--N", "40"),
+    ("mahler", "homology", "--N", "5", "--poly", "2,1"),  # f(1) != +-1 warns
     ("cable",),
     ("lobachevsky", "--check"),
     ("volume", "--check"),
