@@ -475,7 +475,7 @@ def _rows(lengths, rows, near):
     order = np.lexsort((near, lengths))
     chunks = [order[sl] for sl in _chunks(np.maximum(pieces[order], 1).tolist())]
     size = max((len(i) * min(max(int(pieces[i[-1]]), 1), _PIECES) for i in chunks), default=0)
-    buf = np.split(np.empty(2 * min(_L * size, _CHUNK_FACTORS)), 2)
+    buf = np.empty((2, min(_L * size, _CHUNK_FACTORS)))
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i in chunks:
@@ -534,7 +534,7 @@ def _prefix_blocks(fill, n):
     """The factors g(1..n) of a lone row's fill, in column order, up to
     ``_CHUNK_FACTORS`` at a time, as (j0, g)."""
     T, w = max(min(_L, n), 1), _CHUNK_FACTORS // _L
-    block, tmp = np.split(np.empty(2 * T * min(w, -(-n // T))), 2)
+    block, tmp = np.empty((2, T * min(w, -(-n // T))))
     for j0 in range(0, n, w * _L):
         m = min(w, -(-(n - j0) // T))
         g = fill(j0, m)(0, block[:T * m].reshape(T, m, 1), tmp[:T * m].reshape(T, m, 1))
@@ -599,8 +599,5 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
 
 def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation of colors cs at t = exp(2 pi i r/N), integer r;
-    a color below 1 has no factor, as color 1.  Each distinct color is
-    evaluated once."""
-    cs, inv = np.unique(np.maximum(np.asarray(cs, dtype=np.int64), 1), return_inverse=True)
-    sgn, log = _rows(*_rational_rows(cs, r, N))
-    return sgn[inv], log[inv]
+    a color below 1 has no factor, as color 1."""
+    return _rows(*_rational_rows(np.maximum(np.asarray(cs, dtype=np.int64), 1), r, N))

@@ -262,7 +262,7 @@ def _cmd_mahler(args) -> int:
         print(_fmt(_cli.log_mahler_quadrature(sample, args.n)))
     elif sub == "homology":
         f = _cli.LaurentPolynomialZ.parse(args.poly)
-        print(_cli.homology_order(f, args.N, method=args.method))
+        print(_cli.homology_order(f, args.N))
     elif sub == "sw":
         f = _cli.LaurentPolynomialZ.parse(args.poly)
         records = _cli.silver_williams_convergence(f, _parse_n_list(args.N_list))
@@ -353,10 +353,6 @@ def build_parser() -> _Parser:
     m = msub.add_parser("homology", help="|H_1| of the branched cyclic cover")
     m.add_argument("--N", type=int, required=True)
     m.add_argument("--poly", default=FIG8_POLY)
-    m.add_argument("--method", choices=("exact", "float"), default="exact",
-                   help="exact = integer arithmetic; float = complex "
-                        "product, refused (exit 70) once its forward error "
-                        "bound reaches 0.25")
 
     m = msub.add_parser("sw", help="Silver-Williams convergence records")
     m.add_argument("--poly", default=FIG8_POLY)

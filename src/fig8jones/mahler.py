@@ -5,10 +5,10 @@ Two independent routes to m(f) are kept deliberately separate: the
 root-product (leading coefficient times roots outside the unit disk)
 and direct quadrature of log|f| over the circle.  Homology orders of
 the N-fold branched cyclic cover come from the product of the Alexander
-polynomial over N-th roots of unity.  The product is an integer: the
-default path computes it exactly as one integer determinant built from
-the companion matrix of f, and a floating path returns it only when a
-forward error bound certifies the rounding.
+polynomial over N-th roots of unity.  The product is an integer,
+computed exactly as one integer determinant built from the companion
+matrix of f; the rounded complex product, certified by a forward error
+bound, is kept only as the tests' independent reference.
 
 The quadrature takes any sampler ``sample(xs) -> (signs, log|f|)``: a
 polynomial's ``eval_circle_batch``, or ``jones_on_circle`` /
@@ -104,6 +104,8 @@ def const_on_circle(value: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log|value|) at every x: a constant sampler, useful for
     calibration checks."""
     n, value = len(xs), float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
     if value == 0.0:
         return np.zeros(n, dtype=np.int8), np.full(n, -np.inf)
     s = 1 if value > 0 else -1
@@ -271,7 +273,10 @@ def _homology_exact(f: LaurentPolynomialZ, Ns: list[int]) -> list[int]:
 
 
 def _homology_float(f: LaurentPolynomialZ, N: int) -> int:
-    """The rounded complex product, certified by a forward error bound.
+    """The rounded complex product, certified by a forward error bound:
+    the independent reference the tests compare ``_homology_exact``
+    against.  Nothing in the package calls it; it goes with the
+    benchmark change that drops its traced wrapper (ROADMAP item 9).
 
     First-order forward error (Higham, ch. 3): the rounded zeta_N^k is
     within 28u of the true root (three roundings of the angle 2 pi k/N,
@@ -316,26 +321,17 @@ def _check_covers(f: LaurentPolynomialZ, Ns: list[int]) -> None:
         )
 
 
-def homology_order(f: LaurentPolynomialZ, N: int, method: str = "exact") -> int:
+def homology_order(f: LaurentPolynomialZ, N: int) -> int:
     """Order of the first homology of the N-fold branched cyclic cover
     whose Alexander polynomial is f: |prod_{d=1}^{N-1} f(zeta_N^d)|,
     and 0 when the product vanishes (infinite homology).
 
-    'exact' computes the product as an integer determinant: the
-    one-N case of the list walk in silver_williams_convergence, whose
-    cost is about log2(N) small matrix products by doubling.
-    'float' uses the complex product and raises PrecisionError unless
-    its forward error bound, |prod| (sum_k 32 u d S / |f(zeta^k)| +
-    3 u (N - 1)) with u = 2^-53, d the degree and S the sum of
-    |coefficients|, stays below 0.25; for the figure-eight it
-    certifies N <= 28.
+    The product is an integer determinant: the one-N case of the list
+    walk in silver_williams_convergence, whose cost is about log2(N)
+    small matrix products by doubling.
     """
     _check_covers(f, [N])
-    if method == "float":
-        return _homology_float(f, N)
-    if method == "exact":
-        return _homology_exact(f, [N])[0]
-    raise ValueError(f"unknown method {method!r}")
+    return _homology_exact(f, [N])[0]
 
 
 def silver_williams_convergence(

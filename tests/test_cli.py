@@ -180,8 +180,9 @@ class TestMahlerCommands:
         assert code == 0 and out == roots == "0.962423650119207\n"
 
     def test_homology_float(self):
+        # the exact integer walk is the only route; there is no selector
         code, out, _ = run_cli("mahler", "homology", "--N", "4", "--method", "float")
-        assert code == 0 and out.strip() == "45"
+        assert code == 64 and out == ""
 
     def test_quad_const(self):
         code, out, _ = run_cli("mahler", "quad", "--const", "1")
@@ -285,6 +286,13 @@ class TestChecksAndExitCodes:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_quad_non_finite_const_is_2(self, value):
+        # "--const=" keeps argparse from reading -inf as an option
+        code, out, err = run_cli("mahler", "quad", f"--const={value}")
+        assert (code, out) == (2, "")
+        assert err == f"fig8jones: domain error: value must be finite, got {value}\n"
+
     def test_eval_bad_x_is_2(self):
         code, _, _ = run_cli("eval", "--N", "3", "--x", "1.5")
         assert code == 2
@@ -321,11 +329,17 @@ class TestChecksAndExitCodes:
         assert err == ("fig8jones: numeric error: J_N vanishes at N=5, x=0.25; "
                        "normalized log undefined\n")
 
-    def test_precision_error_is_70(self):
-        code, _, err = run_cli("mahler", "homology", "--N", "200",
-                               "--method", "float")
-        assert code == 70
-        assert "float window" in err
+    def test_precision_error_is_70(self, monkeypatch):
+        # no input makes the exact homology walk refuse; a stub raises
+        from fig8jones.errors import PrecisionError
+
+        def uncertified(f, N):
+            raise PrecisionError("not certified")
+
+        monkeypatch.setattr(cli, "homology_order", uncertified)
+        code, out, err = run_cli("mahler", "homology", "--N", "4")
+        assert (code, out) == (70, "")
+        assert err == "fig8jones: numeric error: not certified\n"
 
     @pytest.mark.parametrize("cmd", [("figure", "V"), ("mahler", "sw", "--N-list", "2,5")])
     def test_unwritable_out_is_73_in_one_line(self, tmp_path, cmd):

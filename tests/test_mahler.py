@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from fig8jones import mahler
 from fig8jones.errors import PrecisionError, SingularityError
 from fig8jones.mahler import (
     FIG8_ALEXANDER,
@@ -191,6 +192,11 @@ class TestQuadrature:
         assert len(calls) == 2
         assert m == per_panel(three_zero)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_const_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="value must be finite"):
+            const_on_circle(value, np.zeros(4))
+
     def test_identically_zero_raises(self):
         with pytest.raises(SingularityError):
             log_mahler_quadrature(partial(const_on_circle, 0.0), 256)
@@ -219,7 +225,7 @@ class TestHomologyOrder:
         # and it never refuses a small cover
         for N in range(2, 61):
             try:
-                via_float = homology_order(FIG8_ALEXANDER, N, method="float")
+                via_float = mahler._homology_float(FIG8_ALEXANDER, N)
             except PrecisionError:
                 assert N > 20
                 continue
@@ -241,10 +247,10 @@ class TestHomologyOrder:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 try:
-                    via_float = homology_order(f, N, method="float")
+                    via_float = mahler._homology_float(f, N)
                 except PrecisionError:
                     continue
-                assert via_float == homology_order(f, N, method="exact")
+                assert via_float == homology_order(f, N)
             checked += 1
 
     @pytest.mark.parametrize("N", [200, 35])
@@ -252,7 +258,7 @@ class TestHomologyOrder:
         # at N = 35 the product is about 4.3e14, below 2^52, and rounds
         # to an order one too large
         with pytest.raises(PrecisionError):
-            homology_order(FIG8_ALEXANDER, N, method="float")
+            mahler._homology_float(FIG8_ALEXANDER, N)
 
     def test_never_vanishes_up_to_500(self):
         # no root of the figure-eight Alexander polynomial is a root of

@@ -20,8 +20,9 @@ table and long scans), scans, profiles and quadrature on the rational
 route where it flags few or all of its rows as near a root, ``mahler roots``
 (one that warns of a root near the circle), ``quad --poly``, exact
 ``homology`` (one that warns of f(1) != +-1), a table with no rows, the
-six ``--check`` commands, commands for the error exits (2, 64, 70, 73)
-and ``--out`` writes to files and to stdout.
+six ``--check`` commands, commands for the error exits (2, 64, 70, 73;
+a non-finite ``quad --const`` among the 2s, an unknown ``homology
+--method`` among the 64s) and ``--out`` writes to files and to stdout.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ COMMANDS = (
     ("figure",),
     ("mahler",),
     ("mahler", "quad", "--const", "0"),
+    ("mahler", "quad", "--const", "nan"),
     ("mahler", "homology", "--N", "200", "--method", "float"),
     ("figure", "V", "--out", "missing/V.csv"),
     ("mahler", "sw", "--N-list", "2,5", "--out", "."),
