@@ -47,12 +47,13 @@ grid take the same one:
   DomainError past it, once per call, before any row is formed.
 
 Routes: both routes return one contract, (lengths, rows, near).
-lengths[i] is the number of factors row i sums: c - 1 on the float
-route, live - 1 on the rational one (Early exit, below).  rows(i) is
-the fill of the rows of an index array i: fill(j0, n) prepares a block
-of n pieces from factor j0 + 1 on and returns part(t0, out, tmp), which
-writes the rows' g(j0 + pL + t0 + t + 1) into out, of shape
-(t, piece, row), and returns it, using tmp (out's shape) as scratch.
+lengths[i] is the number of factors of row i through its first exact
+zero: c on the float route, live on the rational one (Early exit,
+below).  rows(i) is the fill of the rows of an index array i:
+fill(j0, n) prepares a block of n pieces from factor j0 + 1 on and
+returns part(t0, out, tmp), which writes the rows'
+g(j0 + pL + t0 + t + 1) into out, of shape (t, piece, row), and
+returns it, using tmp (out's shape) as scratch.
 Every caller sums a route as ``_rows(*route)``.  Rows that share their
 x share one cosine row: the float route forms one table C2, S2 for a
 chunk of one x (a cable profile), and the rational route forms each
@@ -93,15 +94,17 @@ so no partial product leaves the normal range while a group's factors
 average above 2^-127.  A row's maps then compose in one fixed pairwise
 order (``_tree``): neighbours 2i, 2i+1 at every level, an odd last map
 passing up unchanged, with b and a kept as mantissas and integer
-exponents (``_compose``), and the composite is applied to h = 1.  A
-composition b_l + a_l b_r carries the rounding error of a_l b_r exactly
-(Dekker's product), so where the sum cancels it rounds once: rounded
-alone, the product could meet b_l exactly and leave 0.0, a false zero
-at a row whose terms cancel below float64's reach.  Every
-step depends only on the row's factors, so grids equal scans by
-construction, whatever the chunks.  Horner's forward error is bounded
-by gamma_2n sum_k |f(k)| (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 5), however large |log f(k)| grows.
+exponents (``_compose``).  A row's last piece holds its exact zero
+(Early exit, below), so its a is +-0, the composite is the constant map
+h -> b, and its b is the sum.  A composition b_l + a_l b_r carries the
+rounding error of a_l b_r exactly (Dekker's product), so where the sum
+cancels it rounds once: rounded alone, the product could meet b_l
+exactly and leave 0.0, a false zero at a row whose terms cancel below
+float64's reach.  Every step depends only on the row's factors, so
+grids equal scans by construction, whatever the chunks.  Horner's
+forward error is bounded by gamma_2n sum_k |f(k)| (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 5), however large |log f(k)|
+grows.
 
 Signs: the sign of J comes out of the arithmetic, as the sign of b.  A
 vanished factor makes its step b = 1 and its piece's a = +-0, which
@@ -109,10 +112,11 @@ restarts the sum there; a total that is zero reads sign 0 and log -inf.
 
 Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
 first such j, at most c, follows from integer arithmetic (``_live``).
-So a row of n = live - 1 factors, or c - 1 on the float route, ends at
-the exact zero g(n + 1): its last piece runs past n on the row's own
-values, and the step at g(n + 1) restarts it at b = 1, as zero padding
-would.  A row of n < _L factors takes steps from g(n + 1) only.
+So a row counts n = live factors, or c on the float route, through its
+exact zero g(n): its last piece runs past n on the row's own values,
+the step at g(n) restarts it at b = 1, and the piece's a = +-0 drops
+every map to its right from the sum, b_l + (+-0) b_r with a Dekker
+error of 0.  A row of n < _L factors takes steps from g(n) only.
 
 Layout: both grid routes run through one chunk driver (``_rows``) on
 blocks of factors laid out (t, piece, row), t < _L the place in the
@@ -124,14 +128,13 @@ share of a few numpy calls per step.  A block is formed a part of rows
 at a time, at most ``_CHUNK_FACTORS`` factors, in two buffers allocated
 once per call: chunk-sized buffers freed and allocated again chunk by
 chunk sit at the allocator's mmap threshold and fault their pages in
-again.  A chunk
-holds as many pieces per row as its longest row; a shorter row runs
-past its own first vanishing factor, and its pieces past its last one
-are replaced by the identity map, which composes exactly.  Only a lone
-row of more than ``_PIECES`` pieces (a long scan or color) takes several
-blocks, each of ``_PIECES`` pieces, a power of two, so each block's
-tree is a whole subtree of the row's and a scan holds one block at any
-x.  ``jones_prefix`` takes blocks of ``_CHUNK_FACTORS`` factors, turned
+again.  A chunk holds as many pieces per row as its longest row; a
+shorter row runs past its own exact zero on its own values, which that
+zero drops from its sum (Early exit, above).  Only a lone row of more
+than ``_PIECES`` pieces (a long scan or color) takes several blocks,
+each of ``_PIECES`` pieces, a power of two, so each block's tree is a
+whole subtree of the row's and a scan holds one block at any x.
+``jones_prefix`` takes blocks of ``_CHUNK_FACTORS`` factors, turned
 back to column order, and writes their prefixes into its full-length
 results.
 """
@@ -246,14 +249,13 @@ def _refine(g, tmp, j0, sine, scan=None):
 
 def _float_rows(cs, xs):
     """The float route (module docstring) of the paired colors cs and
-    positions xs, as (lengths, rows, near), near all True.  x is folded
-    and the colors checked once per call; rows(i) forms the tables C2,
-    S2 per chunk, one when its rows share their x, else one per row."""
+    folded positions xs (``_fold_x``), as (lengths, rows, near), near all
+    True.  The colors are checked once per call; rows(i) forms the tables
+    C2, S2 per chunk, one when its rows share their x, else one per row."""
     cmax = int(cs.max(initial=1))
     if cmax > _MAX_FLOAT_COLOR:
         raise DomainError(f"color {cmax} at a non-dyadic x is past the float route's "
                           f"exact phases", interval=f"N <= {_MAX_FLOAT_COLOR}")
-    xs = _fold_x(xs)
     xh, xl = _split(xs)
 
     def rows(i):
@@ -286,7 +288,7 @@ def _float_rows(cs, xs):
 
         return fill
 
-    return cs - 1, rows, np.ones(len(cs), dtype=bool)
+    return cs, rows, np.ones(len(cs), dtype=bool)
 
 
 def _twocos(q, Q, out=None):
@@ -340,8 +342,8 @@ def _near(qc, Q):
 def _rational_rows(c, k, Q):
     """The rational route (module docstring) of the colors of array c at
     x = k/Q, k an int or an array of c's shape, as (lengths, rows, near),
-    the lengths the live lengths (``_live``) less one and near the rows
-    whose factors can fall under ``_TAU`` without being 0.0."""
+    the lengths the live lengths (``_live``) and near the rows whose
+    factors can fall under ``_TAU`` without being 0.0."""
     k = np.broadcast_to(k, c.shape)
     live = _live(c, k, Q)
     # a table when it costs no more cosines than the rows would take
@@ -386,7 +388,7 @@ def _rational_rows(c, k, Q):
 
         return fill
 
-    return live - 1, rows, near
+    return live, rows, near
 
 
 def _norm(m, e):
@@ -473,26 +475,21 @@ def _rows(lengths, rows, near):
     once."""
     pieces = -(-lengths // _L)
     order = np.lexsort((near, lengths))
-    chunks = [order[sl] for sl in _chunks(np.maximum(pieces[order], 1).tolist())]
-    size = max((len(i) * min(max(int(pieces[i[-1]]), 1), _PIECES) for i in chunks), default=0)
+    chunks = [order[sl] for sl in _chunks(pieces[order].tolist())]
+    size = max((len(i) * min(int(pieces[i[-1]]), _PIECES) for i in chunks), default=0)
     buf = np.empty((2, min(_L * size, _CHUNK_FACTORS)))
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i in chunks:
         fill = rows(i)
-        # a row of n < _L factors takes steps from g(n + 1) on
-        T, P = min(_L, int(lengths[i[-1]]) + 1), max(int(pieces[i[-1]]), 1)
+        # a row of n < _L factors takes steps from its zero g(n) on
+        T, P = min(_L, int(lengths[i[-1]])), int(pieces[i[-1]])
         roots = []
         for p0 in range(0, P, _PIECES):
             n = min(P - p0, _PIECES)
             maps = [v.reshape(n, len(i)) for v in _horner(fill(p0 * _L, n), T, (n, len(i)), buf)]
-            # pieces past a row's last are the identity h -> h
-            past = (p0 + np.arange(n))[:, None] >= pieces[i]
-            for v, unit in zip(maps, (0.0, _ZERO, 0.5, 1)):
-                np.putmask(v, past, unit)
             roots.append(_tree(maps))
-        b, eb, _, _ = _compose(_tree([np.stack(v) for v in zip(*roots)]),
-                               (0.5, 1, 0.0, _ZERO))  # applied to h = 1
+        b, eb, _, _ = _tree([np.stack(v) for v in zip(*roots)])
         sgn[i] = np.sign(b)
         with np.errstate(divide="ignore"):
             log[i] = np.log(np.abs(b)) + eb * _LN2
@@ -516,8 +513,9 @@ def _ratio(xs):
 
 def _lone(N, x):
     """The route (lengths, rows, near) of the lone row of color N at
-    x, the one ``jones_grid`` takes for the point."""
-    c, xs = np.array([N]), _fold_x(np.array([x], dtype=np.float64))
+    x, the one ``jones_grid`` takes for the point; a color below 1 has no
+    factor, as color 1."""
+    c, xs = np.array([max(N, 1)]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
         (k,), (Q,) = _ratio(xs)
         return _rational_rows(c, int(k), int(Q))

@@ -66,16 +66,7 @@ def cable_profile(N: int, r: float) -> ColorProfile:
 
 def argmax_color(N: int, r: float) -> int:
     """Odd color with the largest profile value; ties resolve to the
-    larger color, flagged rows are skipped."""
+    larger color, flagged rows are skipped (the row c = 1, J_1 = 1, never
+    is)."""
     profile = cable_profile(N, r)
-    best_c = None
-    best_v = -math.inf
-    for row in profile.rows:
-        if row.flagged:
-            continue
-        if row.value >= best_v:
-            best_v = row.value
-            best_c = row.c
-    if best_c is None:
-        raise ArithmeticError("every profile row vanished")
-    return best_c
+    return max((row for row in profile.rows if not row.flagged), key=lambda row: (row.value, row.c)).c

@@ -110,7 +110,7 @@ class TestScanAgreement:
             # the kernel's cosine differences, under a threshold that
             # refines none of them
             monkeypatch.setattr(_kernels, "_TAU", 0.0)
-            _, rows, _ = _kernels._float_rows(np.array([N]), np.array([x]))
+            _, rows, _ = _kernels._float_rows(np.array([N]), _kernels._fold_x(np.array([x])))
             g = row_factors(rows(np.array([0])), N - 1)
             monkeypatch.setattr(_kernels, "_TAU", tau)
             near = set((np.flatnonzero(np.abs(g) < tau) + 1).tolist())
@@ -276,16 +276,17 @@ def prefixes(g):
 
 
 def horner_sum(g):
-    # the kernels' sum over one whole row of factors g(1), g(2), ..., with
-    # no chunks or blocks: pieces of _L factors from j = 1, the last one
-    # padded with exact zeros.  A piece's b takes backward Horner steps
-    # b <- b g + 1 from b = 0; its product a takes the products of its
-    # groups of _K factors, from t = 0, each split by frexp, multiplying
-    # the mantissas from the last group down.  The maps h -> b + a h then
-    # compose pairwise, neighbours 2i, 2i + 1 at every level and an odd
-    # last one passing up, as mantissas and integer exponents summed at
-    # the larger exponent with the product's rounding error carried
-    # exactly (Dekker), and the composite takes h = 1
+    # the kernels' sum over one whole row of factors g(1..N-1), with no
+    # chunks or blocks: pieces of _L factors from j = 1 through the row's
+    # exact zero g(N), the last one padded with exact zeros.  A piece's b
+    # takes backward Horner steps b <- b g + 1 from b = 0; its product a
+    # takes the products of its groups of _K factors, from t = 0, each
+    # split by frexp, multiplying the mantissas from the last group down.
+    # The maps h -> b + a h then compose pairwise, neighbours 2i, 2i + 1
+    # at every level and an odd last one passing up, as mantissas and
+    # integer exponents summed at the larger exponent with the product's
+    # rounding error carried exactly (Dekker).  The last piece's a is 0,
+    # so the composite's b is the sum
     L, K, Z = _kernels._L, _kernels._K, _kernels._ZERO
 
     def norm(m, e):
@@ -306,7 +307,7 @@ def horner_sum(g):
         b = np.ldexp(bl, ebl - e) + np.ldexp(x, ex - e) + np.ldexp(dx, ex - e)
         return (*norm(b, e), *norm(al * ar, eal + ear))
 
-    P = -(-len(g) // L)
+    P = len(g) // L + 1
     G = np.zeros(P * L)
     G[:len(g)] = g
     G = G.reshape(P, L).T
@@ -320,13 +321,12 @@ def horner_sum(g):
             p = p * G[t]
         m, e = np.frexp(p)
         a, ea = a * m, ea + e
-    # a row of no factor is the identity map h -> h
-    maps = (*norm(b, 0), *norm(a, ea)) if P else (np.zeros(1), np.full(1, Z), np.full(1, 0.5), np.ones(1, dtype=np.int64))
+    maps = (*norm(b, 0), *norm(a, ea))
     while len(maps[0]) > 1:
         n = len(maps[0])
         pair = compose([v[0:n - 1:2] for v in maps], [v[1:n:2] for v in maps])
         maps = [np.concatenate([u, v[n - 1:]]) if n % 2 else u for u, v in zip(pair, maps)]
-    b, eb, _, _ = compose(maps, (0.5, 1, 0.0, Z))
+    b, eb, _, _ = maps
     with np.errstate(divide="ignore"):
         return int(np.sign(b[0])), np.log(np.abs(b[0])) + eb[0] * _kernels._LN2
 
@@ -355,11 +355,14 @@ class TestColumnBlocks:
         # definition over the whole row.  At N = 40000, x = 2^-16 the
         # first vanishing factor, j = 25536, lies in the second prefix
         # block: a sign carried across a block edge meets an exact zero,
-        # and the signs must turn 0 there
+        # and the signs must turn 0 there.  Rows of N = 641 and 3201 have
+        # a multiple of _L live factors, so their zero g(N) opens a piece
+        # of its own
         W, C = _kernels._PIECES * _kernels._L, _kernels._CHUNK_FACTORS
         cases = [(N, x) for N in (C - 1, C + 1, W - 1, W, W + 1, W + 2, W + 129, 3 * W + 5)
                  for x in (1.05 / N, 0.3, 1 / 3, 0.5)]
-        for N, x in cases + [(40000, 2.0**-16), (10**6, 0.3)]:
+        for N, x in cases + [(40000, 2.0**-16), (10**6, 0.3), (641, 0.4142135623),
+                             (3201, 0.4142135623)]:
             g = unblocked(N, x)
             sgnf, logf = prefixes(g)
             s, l = horner_sum(g)
@@ -490,6 +493,12 @@ class TestGrids:
         xs = np.array([0.31, 0.2, 0.0, 0.75, 0.0, 0.5, 0.0, 0.5, 0.41, 0.9,
                        0.13, 0.55, 0.031, 0.9 / 500, 0.2])
         self.assert_grid_is_scan(Ns, xs)
+        # rows of 641 and 3201 factors through their zero, which opens a
+        # piece of its own, in one chunk: 641 runs past its zero beside
+        # longer rows
+        self.assert_grid_is_scan([641, 1000, 3201], [0.4142135623] * 3)
+        # a color below 1 has no factor, as color 1, in a scan as in a grid
+        self.assert_grid_is_scan([0, -3, 0, -3], [0.3, 0.3, 0.25, 0.25])
         # every odd color at one non-dyadic x, the non-integer cable
         # profile: chunks of rows of many colors, each of its own length.
         # A shorter row of a chunk stops at its own color: g(c) takes the
@@ -506,9 +515,9 @@ class TestGrids:
                     s, l = horner_sum(unblocked(int(cs[i]), float(xs[i])))
                     assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
                 L = _kernels._L
-                pieces = np.maximum(-(-(cs - 1) // L), 1)
+                pieces = -(-cs // L)
                 lengths, rows, near = _kernels._float_rows(cs, xs)
-                assert np.array_equal(lengths, cs - 1) and near.all()
+                assert np.array_equal(lengths, cs) and near.all()
                 for sl in _kernels._chunks(pieces.tolist()):
                     c = cs[sl]
                     g = block(rows(np.arange(len(cs))[sl]), min(L, int(c[-1])), int(pieces[sl][-1]), len(c))
@@ -647,7 +656,7 @@ class TestGrids:
         assert sum(cosines) <= len(cs) + L
         cs = np.arange(1, 1600, 2)
         _kernels.jones_grid(cs, np.full(len(cs), 1.5 / 800))
-        chunks = len(list(_kernels._chunks(np.maximum(-(-(cs - 1) // L), 1).tolist())))
+        chunks = len(list(_kernels._chunks((-(-cs // L)).tolist())))
         assert tables == [(L, 1, 1)] * chunks
         # rows of distinct x each take their own table
         tables.clear()

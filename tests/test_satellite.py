@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fig8jones.jones_fig8 import EvaluationPoint, colored_jones, normalized_log
-from fig8jones.satellite import argmax_color, cable_profile
+from fig8jones.satellite import ProfileRow, argmax_color, cable_profile
 
 
 class TestCableProfile:
@@ -77,6 +77,12 @@ class TestArgmaxColor:
     def test_tie_resolves_to_larger_color(self):
         # N=2, r=1: J_1 = J_3 = 1 exactly (both values 0)
         assert argmax_color(2, 1.0) == 3
+
+    def test_color_one_is_never_flagged(self):
+        # J_1 = 1 on both routes, so every profile has an unflagged row
+        # for the maximum to take
+        for N, r in ((2, 1.0), (800, 1.0), (800, 1.5), (3000, 3.0)):
+            assert cable_profile(N, r).rows[0] == ProfileRow(1, 0.0), (N, r)
 
     def test_odd_N_at_integer_r_peaks_at_N(self):
         # c = N is the one live color carrying the full Kashaev growth

@@ -17,7 +17,8 @@ difference, 0 when every command is identical.
 The list covers the benchmark's commands (the paper's figures, the
 cable profiles at integer and non-integer r, the quadrature growth
 table and long scans), scans, profiles and quadrature on the rational
-route where it flags few or all of its rows as near a root, ``mahler roots``
+route where it flags few or all of its rows as near a root, scans and a
+profile with rows of a multiple of 128 live factors, ``mahler roots``
 (one that warns of a root near the circle), ``quad --poly``, exact
 ``homology`` (one that warns of f(1) != +-1), a table with no rows, the
 six ``--check`` commands, commands for the error exits (2, 64, 70, 73;
@@ -60,6 +61,12 @@ COMMANDS = (
     ("eval", "--N", "40000000", "--r", "1"),  # past the float route: exit 2
     ("eval", "--N", "194", "--x", "0.9949999999998909"),
     ("eval", "--N", "4096", "--x", "0.000244140625"),
+    # rows of a multiple of 128 live factors, whose exact zero opens a
+    # piece of its own: a generic x, the Kashaev-type point at r = 1 and
+    # a float-route profile with a few such rows
+    ("eval", "--N", "641", "--x", "0.4142135623"),
+    ("eval", "--N", "2049", "--r", "1"),
+    ("figure", "cable", "--N", "800", "--r", "3.3", "--out", "-"),
     # the rational route at the edges of its near-row flags: Q = 1 and
     # Q = 2, an odd Q = N with flagged colors, a dyadic profile and
     # quadrature at Q = 2^17
