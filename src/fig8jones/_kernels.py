@@ -23,7 +23,12 @@ grid take the same one:
   e + bit_length(c) <= 53 (``_dyadic``), uses its own power-of-two
   denominator Q: every x*j, j <= c, is then exact, and since dividing
   by a power of two is exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)),
-  the cosine of the exact phase rounded once.  There is one cosine
+  the cosine of the exact phase rounded once.  The phases k j, k
+  reduced mod Q, are int32 where Q (c + _L) < 2^31 for every color c of
+  the call, as on every quadrature and cable grid, and int64 otherwise:
+  the same integers, and half the bytes to multiply, mask and look up.
+  A dyadic point's key k/Q is in lowest terms (``_ratio``), so its zeros
+  recur with period Q and ``_live`` takes no gcd.  There is one cosine
   rule: a table tab[q] = 2 cos(2 pi q/Q), q <= Q/2, when its Q/2 + 1
   entries are no more than the cosines the rows would take directly
   and no more than a block or one per color, else the cosines
@@ -53,7 +58,9 @@ below).  rows(i) is the fill of the rows of an index array i:
 fill(j0, n) prepares a block of n pieces from factor j0 + 1 on and
 returns part(t0, out, tmp), which writes the rows'
 g(j0 + pL + t0 + t + 1) into out, of shape (t, piece, row), and
-returns it, using tmp (out's shape) as scratch.
+returns it, using tmp (out's shape) as scratch.  out holds the
+block's first out.shape[1] pieces, all n or all but the last (Layout,
+below).
 Every caller sums a route as ``_rows(*route)``.  Rows that share their
 x share one cosine row: the float route forms one table C2, S2 for a
 chunk of one x (a cable profile), and the rational route forms each
@@ -95,16 +102,16 @@ average above 2^-127.  A row's maps then compose in one fixed pairwise
 order (``_tree``): neighbours 2i, 2i+1 at every level, an odd last map
 passing up unchanged, with b and a kept as mantissas and integer
 exponents (``_compose``).  A row's last piece holds its exact zero
-(Early exit, below), so its a is +-0, the composite is the constant map
-h -> b, and its b is the sum.  A composition b_l + a_l b_r carries the
-rounding error of a_l b_r exactly (Dekker's product), so where the sum
-cancels it rounds once: rounded alone, the product could meet b_l
-exactly and leave 0.0, a false zero at a row whose terms cancel below
-float64's reach.  Every step depends only on the row's factors, so
-grids equal scans by construction, whatever the chunks.  Horner's
-forward error is bounded by gamma_2n sum_k |f(k)| (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 5), however large |log f(k)|
-grows.
+(Early exit, below), so its a would be +-0: it forms no product and
+takes a = 0, the composite is the constant map h -> b, and its b is
+the sum.  A composition b_l + a_l b_r carries the rounding error of
+a_l b_r exactly (Dekker's product), so where the sum cancels it rounds
+once: rounded alone, the product could meet b_l exactly and leave 0.0,
+a false zero at a row whose terms cancel below float64's reach.  Every
+step depends only on the row's factors, so grids equal scans by
+construction, whatever the chunks.  Horner's forward error is bounded
+by gamma_2n sum_k |f(k)| (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 5), however large |log f(k)| grows.
 
 Signs: the sign of J comes out of the arithmetic, as the sign of b.  A
 vanished factor makes its step b = 1 and its piece's a = +-0, which
@@ -113,10 +120,11 @@ restarts the sum there; a total that is zero reads sign 0 and log -inf.
 Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
 first such j, at most c, follows from integer arithmetic (``_live``).
 So a row counts n = live factors, or c on the float route, through its
-exact zero g(n): its last piece runs past n on the row's own values,
-the step at g(n) restarts it at b = 1, and the piece's a = +-0 drops
-every map to its right from the sum, b_l + (+-0) b_r with a Dekker
-error of 0.  A row of n < _L factors takes steps from g(n) only.
+exact zero g(n), and its last piece stops there: its steps start at
+g(n), whose step sets b = 1 whatever b was, and it takes no product.
+A piece's a = +-0 drops every map to its right from the sum,
+b_l + (+-0) b_r with a Dekker error of 0, so a zero in an earlier
+piece drops the later ones, whatever their values.
 
 Layout: both grid routes run through one chunk driver (``_rows``) on
 blocks of factors laid out (t, piece, row), t < _L the place in the
@@ -128,18 +136,26 @@ share of a few numpy calls per step.  A block is formed a part of rows
 at a time, at most ``_CHUNK_FACTORS`` factors, in two buffers allocated
 once per call: chunk-sized buffers freed and allocated again chunk by
 chunk sit at the allocator's mmap threshold and fault their pages in
-again.  A chunk holds as many pieces per row as its longest row; a
-shorter row runs past its own exact zero on its own values, which that
-zero drops from its sum (Early exit, above).  Only a lone row of more
-than ``_PIECES`` pieces (a long scan or color) takes several blocks,
-each of ``_PIECES`` pieces, a power of two, so each block's tree is a
-whole subtree of the row's and a scan holds one block at any x.
+again.  A chunk holds as many pieces per row as its longest row, of n
+factors, and in its final block rows t >= T = (n - 1) mod _L + 1 are
+stepped for the pieces before the last only, a contiguous prefix of
+the (piece, row) layout, and formed for them only in the parts that
+lie wholly above T (the part across T is formed whole: a second part
+call costs more than the rows it saves), so the last piece stops at
+that row's zero.  A shorter row's own zero drops what lies past it,
+its share of the last piece and any piece between (Early exit, above).
+Only a lone row of more than ``_PIECES`` pieces (a long scan or color)
+takes several blocks, each of ``_PIECES`` pieces, a power of two, so
+each block's tree is a whole subtree of the row's and a scan holds one
+block at any x.
 ``jones_prefix`` takes blocks of ``_CHUNK_FACTORS`` factors, turned
 back to column order, and writes their prefixes into its full-length
 results.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -148,9 +164,9 @@ from .errors import DomainError
 # Factors formed at once, 256 KiB per float64 array, and _K times the
 # pieces of a block.  Each Horner step is two numpy calls across all
 # pieces of a block, so a wide block pays their overhead less often: on
-# a 2-core Xeon the three 2^14-point quadrature grids took about 55 ms
-# at 2^15 and 52 ms at 2^16, and 134 ms at 2^14, where their 2^15-entry cosine
-# tables fall past the table rule of ``_rational_rows``
+# a 2-core Xeon the three 2^14-point quadrature grids took about 75 ms
+# at 2^15 and at 2^16 (best of 25), and 230 ms at 2^14, where their
+# 2^15-entry cosine tables fall past the table rule of ``_rational_rows``
 _CHUNK_FACTORS = 1 << 15
 
 # The reduction (module docstring): factors per piece, also the float
@@ -278,9 +294,9 @@ def _float_rows(cs, xs):
             ca, sa = _angle(_turns(h, l, (j0 + _L * np.arange(n, dtype=np.float64))[:, None]))
 
             def part(t0, out, tmp):
-                v = slice(t0, t0 + len(out))
-                np.multiply(c2[v], ca, out=out)
-                np.multiply(s2[v], sa, out=tmp)
+                v, p = slice(t0, t0 + len(out)), out.shape[1]
+                np.multiply(c2[v], ca[:p], out=out)
+                np.multiply(s2[v], sa[:p], out=tmp)
                 np.subtract(out, tmp, out=out)
                 return _refine(np.subtract(gc, out, out=out), tmp, j0 + t0, sine)
 
@@ -313,6 +329,12 @@ def _mod(q, Q):
     return q
 
 
+def _ints(a, dt):
+    """An integer array of type dt and of the shape of a contiguous
+    float64 array a, in a's memory."""
+    return a.reshape(-1).view(dt)[:a.size].reshape(a.shape)
+
+
 def _fold(q, Q, tmp=None):
     """Integer phases min(q mod Q, Q - q mod Q), in place, tmp an
     optional scratch of q's shape."""
@@ -322,10 +344,11 @@ def _fold(q, Q, tmp=None):
 
 def _live(c, k, Q):
     """Number of terms f(0), f(1), ... before the first dead factor of
-    color c >= 1 at t = exp(2 pi i k/Q).  g(j) vanishes exactly when
-    q_j == q_c, that is when Q / gcd(k, Q) divides c - j or c + j, at
-    j = c at the latest."""
-    d = Q // np.gcd(k, Q)
+    color c >= 1 at t = exp(2 pi i k/Q), k an int or an array of keys in
+    lowest terms (``_ratio``).  g(j) vanishes exactly when q_j == q_c,
+    that is when Q / gcd(k, Q) divides c - j or c + j, at j = c at the
+    latest."""
+    d = Q if np.ndim(k) else Q // math.gcd(k, Q)
     return np.minimum((c - 1) % d, (-c - 1) % d) + 1
 
 
@@ -341,11 +364,15 @@ def _near(qc, Q):
 
 def _rational_rows(c, k, Q):
     """The rational route (module docstring) of the colors of array c at
-    x = k/Q, k an int or an array of c's shape, as (lengths, rows, near),
-    the lengths the live lengths (``_live``) and near the rows whose
-    factors can fall under ``_TAU`` without being 0.0."""
-    k = np.broadcast_to(k, c.shape)
+    x = k/Q, k an int or an array of c's shape in lowest terms, as
+    (lengths, rows, near), the lengths the live lengths (``_live``) and
+    near the rows whose factors can fall under ``_TAU`` without being
+    0.0."""
     live = _live(c, k, Q)
+    # phases k j of factors j < c + _L, with k reduced mod Q, in int32
+    # when they fit
+    dt = np.int32 if Q * (int(c.max(initial=0)) + _L) < 1 << 31 else np.int64
+    k = np.broadcast_to(np.asarray(k % Q, dtype=dt), c.shape)
     # a table when it costs no more cosines than the rows would take
     # directly, one per live factor and one per row for g(c), and holds
     # no more than a block or one entry per color, so a long lone row
@@ -355,7 +382,7 @@ def _rational_rows(c, k, Q):
         tab = _twocos(np.arange(Q // 2 + 1), Q)[_fold(np.arange(Q), Q)]
         cos = lambda q, out: tab.take(_mod(q, Q), out=out, mode="clip")
     else:
-        cos = lambda q, out: _twocos(_fold(q, Q, None if out is None else out.view(np.int64)), Q, out)
+        cos = lambda q, out: _twocos(_fold(q, Q, None if out is None else _ints(out, q.dtype)), Q, out)
     qc = _fold(c * k, Q)
     gc = cos(c * k, None)
     near = _near(qc, Q)
@@ -376,11 +403,11 @@ def _rational_rows(c, k, Q):
 
         def fill(j0, n):
             # the first factor index j0 + pL + 1 of each piece, (piece, 1)
-            j = j0 + 1 + _L * np.arange(n)[:, None]
+            j = (j0 + 1 + _L * np.arange(n, dtype=dt))[:, None]
 
             def part(t0, out, tmp):
-                q = np.arange(t0, t0 + len(out))[:, None, None] + j
-                q = np.multiply(ku, q, out=None if shared else tmp.view(np.int64))
+                q = np.arange(t0, t0 + len(out), dtype=dt)[:, None, None] + j[:out.shape[1]]
+                q = np.multiply(ku, q, out=None if shared else _ints(tmp, dt))
                 g = np.subtract(gi, cos(q, None if shared else out), out=out)
                 return _refine(g, tmp, j0 + t0, sine, scan) if len(flagged) else g
 
@@ -400,29 +427,49 @@ def _norm(m, e):
     return m, e
 
 
-def _horner(part, T, shape, buf):
-    """The affine maps h -> b + a h of the pieces of a block of T factor
-    rows, laid out (t, piece, row) with (piece, row) of the given shape
-    and formed a part of rows at a time, at most ``_CHUNK_FACTORS``
-    factors and a multiple of ``_K`` rows, by part(t0, out, tmp) in the
-    two flat buffers of buf.  b takes backward Horner steps from row
-    T - 1, a the product of the rows in groups of ``_K``, each group's
-    product split by frexp, so no partial product leaves the normal
-    range.  Returns (b, eb, a, ea), b = mb 2^eb and a = ma 2^ea with
-    normalized mantissas (``_norm``)."""
-    m = shape[0] * shape[1]
+def _horner(part, shape, buf, k, T):
+    """The affine maps h -> b + a h of the pieces of a block, laid out
+    (t, piece, row) with (piece, row) of the given shape and formed a
+    part of rows at a time, at most ``_CHUNK_FACTORS`` factors and a
+    multiple of ``_K`` rows, by part(t0, out, tmp) in the two flat
+    buffers of buf.  The first k pieces take all ``_L`` rows, and the
+    rest, none or the last piece of a chunk's final block, which holds
+    its longest row's zero, rows t < T only (Layout, in the module
+    docstring): rows t >= T are stepped for a prefix of the (piece, row)
+    layout, and formed for it in the parts above T.  b takes backward
+    Horner steps from the top row, and a of the first k pieces the
+    product of the rows in groups of ``_K``, each group's product split
+    by frexp, so no partial product leaves the normal range; a of the
+    rest is 0.  Returns (b, eb, a, ea), b = mb 2^eb and a = ma 2^ea
+    with normalized mantissas (``_norm``)."""
+    n, r = shape
+    m, mk = n * r, k * r
     h = max(_CHUNK_FACTORS // m // _K * _K, _K)
-    b, one, a, ea = np.zeros(m), np.ones(m), np.ones(m), np.zeros(m, dtype=np.int64)
-    for t0 in range((T - 1) // h * h, -1, -h):
-        w = min(h, T - t0)
-        g = part(t0, *(v[:w * m].reshape(w, *shape) for v in buf)).reshape(w, m)
-        for gt in g[::-1]:
+    b, one = np.zeros(m), np.ones(m)
+    a, ea = np.zeros(m), np.zeros(m, dtype=np.int64)
+    a[:mk] = 1.0
+    bk, ok, ak, eak = b[:mk], one[:mk], a[:mk], ea[:mk]
+    top = _L if k else T
+    for t0 in range((top - 1) // h * h, -1, -h):
+        w = min(h, top - t0)
+        # rows t0 + s and up are stepped for the first k pieces only, and
+        # formed for them only where the whole part lies above T: a part
+        # across T is formed whole, as splitting it into two part calls
+        # costs more than the rows it would save
+        s = min(max(T - t0, 0), w)
+        c = n if s else k
+        g = part(t0, *(v[:w * c * r].reshape(w, c, r) for v in buf)).reshape(w, c * r)
+        gk = g if c == k else g[:, :mk]
+        for gt in gk[s:][::-1] if s < w else ():
+            np.multiply(bk, gt, out=bk)
+            np.add(bk, ok, out=bk)
+        for gt in g[s - 1::-1] if s else ():
             np.multiply(b, gt, out=b)
             np.add(b, one, out=b)
-        for u in range((w - 1) // _K * _K, -1, -_K):
-            p, e = np.frexp(np.multiply.reduce(g[u:u + _K]))
-            a *= p
-            ea += e
+        for u in range((w - 1) // _K * _K, -1, -_K) if k else ():
+            p, e = np.frexp(np.multiply.reduce(gk[u:u + _K]))
+            ak *= p
+            eak += e
     return (*_norm(b, 0), *_norm(a, ea))
 
 
@@ -482,12 +529,13 @@ def _rows(lengths, rows, near):
     log = np.empty(len(lengths), dtype=np.float64)
     for i in chunks:
         fill = rows(i)
-        # a row of n < _L factors takes steps from its zero g(n) on
-        T, P = min(_L, int(lengths[i[-1]])), int(pieces[i[-1]])
+        # the longest row's zero is row T - 1 of its last piece
+        T, P = (int(lengths[i[-1]]) - 1) % _L + 1, int(pieces[i[-1]])
         roots = []
         for p0 in range(0, P, _PIECES):
             n = min(P - p0, _PIECES)
-            maps = [v.reshape(n, len(i)) for v in _horner(fill(p0 * _L, n), T, (n, len(i)), buf)]
+            k, t = (n, _L) if p0 + n < P else (n - 1, T)
+            maps = [v.reshape(n, len(i)) for v in _horner(fill(p0 * _L, n), (n, len(i)), buf, k, t)]
             roots.append(_tree(maps))
         b, eb, _, _ = _tree([np.stack(v) for v in zip(*roots)])
         sgn[i] = np.sign(b)
@@ -541,7 +589,9 @@ def _prefix_blocks(fill, n):
 
 def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Prefix arrays (signs, log|f(k)|) of the partial products, k < N,
-    the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf."""
+    the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf.  A
+    color below 1 has no factor, as color 1."""
+    N = max(N, 1)
     rows = _lone(N, x)[1]
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
     sgnf[0], logf[0] = 1, 0.0

@@ -331,6 +331,24 @@ def horner_sum(g):
         return int(np.sign(b[0])), np.log(np.abs(b[0])) + eb[0] * _kernels._LN2
 
 
+def exact_row(c, r, N):
+    # the reduction's definition over the full row of color c at x = r/N
+    # on integer phases, its near-root factors taken as sine products of
+    # the folded phases and its dead factors zeroed; returns the sign,
+    # the log and whether the row has a dead factor before c
+    q = r * np.arange(1, c) % N
+    q = np.minimum(q, N - q)
+    qc = min(r * c % N, N - r * c % N)
+    g = (2.0 * np.cos(2.0 * np.pi * qc / N)
+         - 2.0 * np.cos(2.0 * np.pi * q / N))
+    near = np.abs(g) < 2.0**-16
+    t, d = qc + q[near], qc - q[near]
+    g[near] = -4.0 * np.sin(np.minimum(t, N - t) * np.pi / N) * np.sin(d * np.pi / N)
+    g[q == qc] = 0.0
+    s, l = horner_sum(g)
+    return s, np.float64(l), bool((q == qc).any())
+
+
 def row_factors(fill, n):
     # the factors g(1..n) a lone row's fill forms, in column order
     return np.concatenate([g for _, g in _kernels._prefix_blocks(fill, n)] or [[]])
@@ -357,12 +375,13 @@ class TestColumnBlocks:
         # block: a sign carried across a block edge meets an exact zero,
         # and the signs must turn 0 there.  Rows of N = 641 and 3201 have
         # a multiple of _L live factors, so their zero g(N) opens a piece
-        # of its own
+        # of its own.  W + 45 is a first block of whole pieces, with their
+        # products, and a final block of one piece of 45 factors
         W, C = _kernels._PIECES * _kernels._L, _kernels._CHUNK_FACTORS
         cases = [(N, x) for N in (C - 1, C + 1, W - 1, W, W + 1, W + 2, W + 129, 3 * W + 5)
                  for x in (1.05 / N, 0.3, 1 / 3, 0.5)]
         for N, x in cases + [(40000, 2.0**-16), (10**6, 0.3), (641, 0.4142135623),
-                             (3201, 0.4142135623)]:
+                             (3201, 0.4142135623), (W + 45, 0.4142135623)]:
             g = unblocked(N, x)
             sgnf, logf = prefixes(g)
             s, l = horner_sum(g)
@@ -497,21 +516,27 @@ class TestGrids:
         # piece of its own, in one chunk: 641 runs past its zero beside
         # longer rows
         self.assert_grid_is_scan([641, 1000, 3201], [0.4142135623] * 3)
-        # a color below 1 has no factor, as color 1, in a scan as in a grid
+        # a color below 1 has no factor, as color 1, in a scan as in a
+        # grid, and in the prefixes: the single empty-product term
         self.assert_grid_is_scan([0, -3, 0, -3], [0.3, 0.3, 0.25, 0.25])
+        for N in (0, -2):
+            for x in (0.3, 0.25):
+                ps, pl = _kernels.jones_prefix(N, x)
+                assert ps.dtype == np.int8 and ps.tolist() == [1] and pl.tolist() == [0.0]
         # every odd color at one non-dyadic x, the non-integer cable
-        # profile: chunks of rows of many colors, each of its own length.
-        # A shorter row of a chunk stops at its own color: g(c) takes the
-        # same products of the same table entries and segment angles as
-        # the row's own g(c), so it is exactly 0.0, with one table for
-        # the chunk (one x) or one per row (an x per color)
+        # profile: chunks of rows of many colors, each of its own length,
+        # whose last piece stops at the longest row's zero.  A shorter row
+        # of a chunk stops at its own color: g(c) takes the same products
+        # of the same table entries and segment angles as the row's own
+        # g(c), so it is exactly 0.0, with one table for the chunk (one
+        # x) or one per row (an x per color)
         for N, r in ((800, 1.5), (301, 0.7)):
             cs = np.arange(1, 2 * N, 2, dtype=np.int64)
             for xs in (np.full(len(cs), r / N), r / N + 1e-9 * np.arange(len(cs))):
                 self.assert_grid_is_scan(cs, xs)
-                # and the reduction's definition over each whole row
+                # and the reduction's definition over every 9th whole row
                 gs, gl = _kernels.jones_grid(cs, xs)
-                for i in (0, len(cs) // 3, len(cs) - 2):
+                for i in range(0, len(cs), 9):
                     s, l = horner_sum(unblocked(int(cs[i]), float(xs[i])))
                     assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
                 L = _kernels._L
@@ -677,23 +702,10 @@ class TestGrids:
 
     def test_grid_exact_matches_pointwise(self):
         # over all odd colors, many past their first dead factor; the
-        # colors stop there, and the sum must equal, bit for bit, the
-        # reduction's definition over the full row with its near-root
-        # factors taken as sine products of the integer phases and its
-        # dead factors zeroed, and the one-color call
-        def full_row(c, r, N):
-            q = r * np.arange(1, c) % N
-            q = np.minimum(q, N - q)
-            qc = min(r * c % N, N - r * c % N)
-            g = (2.0 * np.cos(2.0 * np.pi * qc / N)
-                 - 2.0 * np.cos(2.0 * np.pi * q / N))
-            near = np.abs(g) < 2.0**-16
-            t, d = qc + q[near], qc - q[near]
-            g[near] = -4.0 * np.sin(np.minimum(t, N - t) * np.pi / N) * np.sin(d * np.pi / N)
-            g[q == qc] = 0.0
-            s, l = horner_sum(g)
-            return s, np.float64(l), bool((q == qc).any())
-
+        # colors stop there, so chunks mix live lengths and their last
+        # piece stops at the longest row's zero, and the sum must equal,
+        # bit for bit, the reduction's definition over the full row
+        # (exact_row) and the one-color call
         def dead_rows(cs, r, N):
             cs = np.array(cs, dtype=np.int64)
             gs, gl = _kernels.jones_grid_exact(cs, r, N)
@@ -702,7 +714,7 @@ class TestGrids:
             dead = 0
             for i, c in enumerate(cs.tolist()):
                 (s,), (l,) = _kernels.jones_grid_exact(np.array([c]), r, N)
-                fs, fl, has_dead = full_row(c, r, N)
+                fs, fl, has_dead = exact_row(c, r, N)
                 dead += has_dead
                 assert gs[i] == s == fs, (c, r, N)
                 assert (gl[i].tobytes() == np.float64(l).tobytes()
@@ -774,6 +786,122 @@ class TestGrids:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda p: _kernels.jones_scan(*p), pts * 4))
         assert got == expected * 4
+
+
+class TestFinalPiece:
+    # a chunk's final block steps its rows t >= T = (n - 1) mod _L + 1, n
+    # the chunk's longest length, for the pieces before the last only,
+    # and forms them for those pieces in its parts above T: the last
+    # piece holds that row's exact zero at t = T - 1 and takes no
+    # product, and for a shorter row it lies past the row's own zero.
+    # None of this may move a bit
+
+    @staticmethod
+    def spy_horner(monkeypatch):
+        # per _horner call: (pieces, rows), the factors formed per row
+        # (the parts' factor rows times their pieces) and the widths of
+        # the group products it splits by frexp (all its frexp calls but
+        # the last two, _norm's of b and a)
+        calls, frexps = [], []
+        horner = _kernels._horner
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def frexp(self, x):
+                frexps.append(np.size(x))
+                return np.frexp(x)
+
+        def spy(part, shape, buf, k, T):
+            formed = []
+
+            def counted(t0, out, tmp):
+                formed.append(out.shape[0] * out.shape[1])
+                return part(t0, out, tmp)
+
+            n = len(frexps)
+            maps = horner(counted, shape, buf, k, T)
+            calls.append((shape, sum(formed), frexps[n:-2]))
+            return maps
+
+        monkeypatch.setattr(_kernels, "np", Numpy())
+        monkeypatch.setattr(_kernels, "_horner", spy)
+        return calls
+
+    def test_final_piece_stops_at_its_zero(self, monkeypatch):
+        # the 2^14-point quadrature grid at N = 300: every row has 300
+        # factors through its zero, 128 + 128 + 44, and takes the products
+        # of its first two pieces only, in _L/_K groups.  Its last piece
+        # is formed up to the part of h rows that holds the zero, which is
+        # formed whole: 48 rows in chunks of parts of 8 rows, so a row
+        # forms 304 factors, not 384.  At N = 100 each chunk is one piece,
+        # which takes no product
+        L, K = _kernels._L, _kernels._K
+        n = 1 << 14
+        xs = (np.arange(n) + 0.5) / n
+        calls = self.spy_horner(monkeypatch)
+        expected = _kernels.jones_grid(np.full(n, 300), xs)
+        assert len(calls) > 1
+        for (pieces, rows), formed, products in calls:
+            h = max(_kernels._CHUNK_FACTORS // (pieces * rows) // K * K, K)
+            assert (pieces, formed) == (3, 2 * L + min(-(-44 // h) * h, L))
+            assert products == [2 * rows] * (L // K)
+        assert sum(rows * formed for (_, rows), formed, _ in calls) < 305 * n // 2
+        calls.clear()
+        _kernels.jones_grid(np.full(n, 100), xs)
+        assert len(calls) > 1
+        for (pieces, rows), formed, products in calls:
+            assert (pieces, formed, products) == (1, 100, [])
+        monkeypatch.undo()
+        got = _kernels.jones_grid(np.full(n, 300), xs)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(expected, got))
+
+    def test_rows_of_every_last_piece_length(self):
+        # lengths = 0, 1, 2, 44, 104 and 127 (mod _L) through the zero, of
+        # one to eight pieces, side by side in one chunk and alone, on the
+        # float route (length c) and the rational one (x = 5/2^13, whose
+        # live length is c for these colors): grid = scan = the reduction
+        # over the whole row
+        L = _kernels._L
+        cs = np.array([t + p * L for t in (1, 2, 44, 104, 127, L) for p in (0, 1, 2, 7)])
+        for x in (0.4142135623, 5 / 2**13):
+            lengths = (_kernels._float_rows(cs, np.full(len(cs), x))[0] if x == 0.4142135623
+                       else _kernels._rational_rows(cs, 5, 2**13)[0])
+            assert np.array_equal(lengths, cs)
+            TestGrids.assert_grid_is_scan(cs, np.full(len(cs), x))
+            for c in cs.tolist():
+                s, l = horner_sum(unblocked(c, x))
+                ks, kl = _kernels.jones_scan(c, x)
+                assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (c, x)
+        # both routes in one call, in shuffled order
+        both = np.concatenate([cs, cs])
+        xs = np.repeat([0.4142135623, 5 / 2**13], len(cs))
+        i = np.random.default_rng(28).permutation(len(both))
+        TestGrids.assert_grid_is_scan(both[i], xs[i])
+
+    def test_phases_take_int32_where_they_fit(self, monkeypatch):
+        # x = 3/2^22 on the rational route, its factors on direct cosines:
+        # the phases k j of colors c take int32 while Q (c + _L) < 2^31,
+        # at N = 300, and int64 past it, at N = 400; both match the
+        # reduction over the whole row
+        dtypes, twocos = [], _kernels._twocos
+
+        def spy(q, Q, out=None):
+            if q.ndim == 3:
+                dtypes.append(q.dtype)
+            return twocos(q, Q, out)
+
+        monkeypatch.setattr(_kernels, "_twocos", spy)
+        x = 3 / 2**22
+        for N, dt in ((300, np.int32), (400, np.int64)):
+            assert (2**22 * (N + _kernels._L) < 2**31) == (dt is np.int32)
+            dtypes.clear()
+            s, l = horner_sum(unblocked(N, x))
+            ks, kl = _kernels.jones_scan(N, x)
+            assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), N
+            assert dtypes and set(dtypes) == {np.dtype(dt)}, N
+            TestGrids.assert_grid_is_scan([N, N, 7], [x, 1 - x, x])
 
 
 def midpoint_rows(n):

@@ -18,7 +18,8 @@ The list covers the benchmark's commands (the paper's figures, the
 cable profiles at integer and non-integer r, the quadrature growth
 table and long scans), scans, profiles and quadrature on the rational
 route where it flags few or all of its rows as near a root, scans and a
-profile with rows of a multiple of 128 live factors, ``mahler roots``
+profile with rows of a multiple of 128 live factors, scans and
+quadrature whose rows' last piece stops short at their zero, ``mahler roots``
 (one that warns of a root near the circle), ``quad --poly``, exact
 ``homology`` (one that warns of f(1) != +-1), a table with no rows, the
 six ``--check`` commands, commands for the error exits (2, 64, 70, 73;
@@ -67,6 +68,12 @@ COMMANDS = (
     ("eval", "--N", "641", "--x", "0.4142135623"),
     ("eval", "--N", "2049", "--r", "1"),
     ("figure", "cable", "--N", "800", "--r", "3.3", "--out", "-"),
+    # rows whose last piece stops short at their zero: three pieces, a
+    # lone row of two blocks whose last piece holds 45 factors, and the
+    # quadrature grid whose rows step 300 factors, not 384
+    ("eval", "--N", "300", "--x", "0.4142135623"),
+    ("eval", "--N", "524333", "--x", "0.4142135623"),
+    ("mahler", "quad", "--jones", "300", "--n", "4096"),
     # the rational route at the edges of its near-row flags: Q = 1 and
     # Q = 2, an odd Q = N with flagged colors, a dyadic profile and
     # quadrature at Q = 2^17
