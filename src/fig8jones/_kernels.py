@@ -20,16 +20,18 @@ grid take the same one:
   Q = N for x = r/N, so factors that vanish mathematically are exactly
   zero (a float phase misses them by an ulp and rebuilds noise past the
   dead factor).  A point with dyadic x, x*2^e an integer with
-  e + bit_length(c) <= 53 (``_dyadic``), uses its own power-of-two
+  e + bit_length(c) <= 53 (``_dyadic``), uses a power-of-two
   denominator Q: every x*j, j <= c, is then exact, and since dividing
   by a power of two is exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)),
   the cosine of the exact phase rounded once.  The phases k j, k
   reduced mod Q, are int32 where Q (c + _L) < 2^31 for every color c of
   the call, as on every quadrature and cable grid, and int64 otherwise:
   the same integers, and half the bytes to multiply, mask and look up.
-  A dyadic point's key k/Q is in lowest terms (``_ratio``), so its zeros
-  recur with period Q and ``_live`` takes no gcd.  There is one cosine
-  rule: a table tab[q] = 2 cos(2 pi q/Q), q <= Q/2, when its Q/2 + 1
+  Each row carries its period d = Q / gcd(k, Q), with which its phases
+  and zeros recur (Early exit, below): N / gcd(r, N) for
+  ``jones_grid_exact``, a dyadic point's own denominator in lowest
+  terms (``_ratio``).  There is one cosine rule: a table
+  tab[q] = 2 cos(2 pi q/Q), q <= Q/2, when its Q/2 + 1
   entries are no more than the cosines the rows would take directly
   and no more than a block or one per color, else the cosines
   themselves (``_twocos``), the same expression on the same q, so the
@@ -85,8 +87,14 @@ rows, and a chunk with none skips the scan.
 
 The x <-> 1-x fold: ``jones_grid`` evaluates each distinct
 (color, folded x) of its dyadic points once, in one rational route
-per distinct Q that covers every color, and scatters the results back,
-which halves a symmetric grid such as the quadrature midpoints.
+over the largest of their denominators, and scatters the results back,
+which halves a symmetric grid such as the quadrature midpoints.  A key
+of a smaller denominator is scaled by a power of two, which changes no
+rounding, fl(fl(2 pi) 2^m q)/(2^m Q) == fl(fl(2 pi) q)/Q, in the table
+and the sine products too.  So a mixed call keeps every factor's bits,
+though it may take int64 phases (a product that wraps keeps its value
+mod 2^64, so mod Q) or direct cosines where one denominator alone
+would not, and ``_near`` flags more rows at the larger Q.
 
 Reduction: a row of n factors is cut into pieces of ``_L`` = 128
 factors counted from j = 1, piece p holding g(pL + 1..pL + L).  Each
@@ -118,10 +126,11 @@ vanished factor makes its step b = 1 and its piece's a = +-0, which
 restarts the sum there; a total that is zero reads sign 0 and log -inf.
 
 Early exit: on rational phases g(j) = 0 exactly when q_j == q_c, and the
-first such j, at most c, follows from integer arithmetic (``_live``).
-So a row counts n = live factors, or c on the float route, through its
-exact zero g(n), and its last piece stops there: its steps start at
-g(n), whose step sets b = 1 whatever b was, and it takes no product.
+first such j, at most c, is where the row's period d divides c - j or
+c + j (``_rational_rows``).  So a row counts n = live factors, or c on
+the float route, through its exact zero g(n), and its last piece stops
+there: its steps start at g(n), whose step sets b = 1 whatever b was,
+and it takes no product.
 A piece's a = +-0 drops every map to its right from the sum,
 b_l + (+-0) b_r with a Dekker error of 0, so a zero in an earlier
 piece drops the later ones, whatever their values.
@@ -342,16 +351,6 @@ def _fold(q, Q, tmp=None):
     return np.minimum(q, np.subtract(Q, q, out=tmp), out=q)
 
 
-def _live(c, k, Q):
-    """Number of terms f(0), f(1), ... before the first dead factor of
-    color c >= 1 at t = exp(2 pi i k/Q), k an int or an array of keys in
-    lowest terms (``_ratio``).  g(j) vanishes exactly when q_j == q_c,
-    that is when Q / gcd(k, Q) divides c - j or c + j, at j = c at the
-    latest."""
-    d = Q if np.ndim(k) else Q // math.gcd(k, Q)
-    return np.minimum((c - 1) % d, (-c - 1) % d) + 1
-
-
 def _near(qc, Q):
     """Which rows of folded color phases qc at denominator Q can hold a
     factor under ``_TAU`` that is not 0.0 (Routes, in the module
@@ -362,13 +361,15 @@ def _near(qc, Q):
     return 4.0 * np.sin(np.pi / Q) * np.sin(m * (np.pi / Q)) < 2.0 * _TAU
 
 
-def _rational_rows(c, k, Q):
+def _rational_rows(c, k, Q, d):
     """The rational route (module docstring) of the colors of array c at
-    x = k/Q, k an int or an array of c's shape in lowest terms, as
-    (lengths, rows, near), the lengths the live lengths (``_live``) and
-    near the rows whose factors can fall under ``_TAU`` without being
+    x = k/Q, k an int or an array of c's shape and d the period
+    Q / gcd(k, Q) of each row's phases, as (lengths, rows, near).  The
+    lengths are the live lengths: g(j) vanishes exactly when q_j == q_c,
+    that is when d divides c - j or c + j, at j = c at the latest.  near
+    flags the rows whose factors can fall under ``_TAU`` without being
     0.0."""
-    live = _live(c, k, Q)
+    live = np.minimum((c - 1) % d, (-c - 1) % d) + 1
     # phases k j of factors j < c + _L, with k reduced mod Q, in int32
     # when they fit
     dt = np.int32 if Q * (int(c.max(initial=0)) + _L) < 1 << 31 else np.int64
@@ -552,11 +553,13 @@ def _dyadic(Ns, xs):
 
 
 def _ratio(xs):
-    """x = k/Q in lowest terms, Q a power of two, for dyadic x in
-    [0, 1) (``_dyadic``); 0 is 0/1."""
+    """Dyadic x in [0, 1) (``_dyadic``) as (k, Q, d), x = k/Q over one
+    power of two Q, the largest of their denominators in lowest terms,
+    and d each x's own, the period of its phases (0 is 0/1)."""
     y = np.ldexp(xs, 52).astype(np.int64)
-    low = np.where(y == 0, 1 << 52, y & -y)
-    return y // low, (1 << 52) // low
+    d = (1 << 52) // np.where(y == 0, 1 << 52, y & -y)
+    Q = int(d.max(initial=1))
+    return y // ((1 << 52) // Q), Q, d
 
 
 def _lone(N, x):
@@ -565,8 +568,7 @@ def _lone(N, x):
     factor, as color 1."""
     c, xs = np.array([max(N, 1)]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
-        (k,), (Q,) = _ratio(xs)
-        return _rational_rows(c, int(k), int(Q))
+        return _rational_rows(c, *_ratio(xs))
     return _float_rows(c, xs)
 
 
@@ -634,13 +636,7 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
     # short CLI run
     keys, inv = np.unique(Ns[dyadic] + xs[dyadic], return_inverse=True)
     c = keys.astype(np.int64)
-    k, Q = _ratio(keys - c)
-    us = np.empty(len(keys), dtype=np.int8)
-    ul = np.empty(len(keys), dtype=np.float64)
-    Qs, by_Q = np.unique(Q, return_inverse=True)
-    for g, q in enumerate(Qs.tolist()):
-        i = np.flatnonzero(by_Q == g)
-        us[i], ul[i] = _rows(*_rational_rows(c[i], k[i], q))
+    us, ul = _rows(*_rational_rows(c, *_ratio(keys - c)))
     sgn[dyadic], log[dyadic] = us[inv], ul[inv]
     return sgn, log
 
@@ -648,4 +644,5 @@ def jones_grid(Ns, xs) -> tuple[np.ndarray, np.ndarray]:
 def jones_grid_exact(cs, r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Vector evaluation of colors cs at t = exp(2 pi i r/N), integer r;
     a color below 1 has no factor, as color 1."""
-    return _rows(*_rational_rows(np.maximum(np.asarray(cs, dtype=np.int64), 1), r, N))
+    cs = np.maximum(np.asarray(cs, dtype=np.int64), 1)
+    return _rows(*_rational_rows(cs, r, N, N // math.gcd(r, N)))

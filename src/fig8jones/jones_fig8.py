@@ -56,12 +56,13 @@ class SignedLogValue:
 
     @property
     def value(self) -> float:
-        """Back to an ordinary float; overflows to +-inf for huge logabs."""
+        """Back to an ordinary float, +-inf where exp(logabs) overflows."""
         if self.sign == 0:
             return 0.0
-        if self.logabs > 709.0:
+        try:
+            return self.sign * math.exp(self.logabs)
+        except OverflowError:
             return math.inf * self.sign
-        return self.sign * math.exp(self.logabs)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ class PiecewiseLimitSpec:
 
     def evaluate(self, x) -> np.ndarray | float:
         arr = np.asarray(x, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise DomainError("limit curves are defined on [0, 1]",
                               interval="[0, 1]")
         out = np.empty_like(arr)

@@ -136,7 +136,7 @@ def theta_r(r, variant: ThetaVariant = ThetaVariant.MINUS_HALF):
     """
     arr = np.asarray(r, dtype=float)
     c = np.cos(2.0 * np.pi * arr) + variant.offset
-    bad = np.abs(c) > 1.0 + 1e-9
+    bad = ~(np.abs(c) <= 1.0 + 1e-9)
     if np.any(bad):
         raise DomainError(
             f"theta_r undefined at r={arr[bad] if arr.ndim else float(arr)}",

@@ -36,6 +36,10 @@ class TestSignedLogValue:
 
     def test_huge_value_overflows_to_inf(self):
         assert SignedLogValue(-1, 1e4).value == -math.inf
+        # only where exp itself overflows: e^709.5 is a finite double
+        assert SignedLogValue(1, 709.5).value == math.exp(709.5) < math.inf
+        assert SignedLogValue(-1, 709.5).value == -math.exp(709.5)
+        assert SignedLogValue(1, 709.8).value == math.inf
 
 
 class TestEvaluationPoint:

@@ -486,7 +486,7 @@ class TestColumnBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 8 * _kernels._CHUNK_FACTORS
-        assert _kernels._live(np.array([10**7]), 1, 2**29)[0] == 10**7
+        assert _kernels._rational_rows(np.array([10**7]), 1, 2**29, 2**29)[0][0] == 10**7
 
 
 class TestGrids:
@@ -599,10 +599,11 @@ class TestGrids:
         # 2^-50 at N = 1000: 50 + bit_length(1000) = 60 > 53, so x*j need
         # not be exact.  It and 1 - 2^-50, which folds to it exactly,
         # alone take the float route.  2^-43, 2^-40 and 1 - 2^-40 are
-        # exact and take the rational core on direct cosines: tables of
-        # 2^42 + 1 and 2^39 + 1 cosines would serve 999 factors a point.
-        # The quarter points take tables of two and three cosines, also
-        # beside 2^-43: each denominator Q has its own call and rule.
+        # exact and take the rational core in one call at Q = 2^43, on
+        # direct cosines: a table of 2^42 + 1 cosines would serve 999
+        # factors a point.  The quarter points take one table of three
+        # cosines at Q = 4, and beside 2^-43 the direct cosines at 2^43:
+        # a call has one denominator and one rule.
         floated, cosines = [], []
         float_rows, twocos = _kernels._float_rows, _kernels._twocos
 
@@ -621,9 +622,9 @@ class TestGrids:
         past = [0.5 ** 50, 1 - 0.5 ** 50]
         far = past + [0.5 ** 43, 0.5 ** 40, 1 - 0.5 ** 40]
         quarters = [0.25, 0.5, 0.75]
-        for xs, direct, tables in ((far, {2 ** 43, 2 ** 40}, []),
-                                   (quarters, set(), [2, 4]),
-                                   (quarters + [0.5 ** 43], {2 ** 43}, [2, 4])):
+        for xs, direct, tables in ((far, {2 ** 43}, []),
+                                   (quarters, set(), [4]),
+                                   (quarters + [0.5 ** 43], {2 ** 43}, [])):
             floated.clear()
             cosines.clear()
             Ns = np.full(len(xs), 1000, dtype=np.int64)
@@ -632,6 +633,41 @@ class TestGrids:
             assert {Q for Q, table in cosines if not table} == direct
             assert sorted(Q for Q, table in cosines if table) == tables
             self.assert_grid_is_scan(Ns, np.array(xs))
+
+    def test_dyadic_points_of_every_denominator_take_one_route(self, monkeypatch):
+        # one rational route per grid call, over the largest denominator
+        # in lowest terms, every other key scaled by a power of two and
+        # carrying its own period: random k/2^e for e = 0..29, 0 and 1/2,
+        # and the conv grid r/2048, r = 0, 0.01, ..., 1, whose dyadic
+        # points r = 0.25, 0.5, 0.75, 1 have denominators 2^13, 2^12,
+        # 2^13 and 2^11.  2^-52 at color 1 puts 0.5 - 2^-14 at color
+        # 8193 + 3 * 2^14 over Q = 2^52, where its int64 products c k and
+        # k j pass 2^63 and wrap, which keeps them mod Q.  Each point
+        # equals its scan
+        calls, rational_rows = [], _kernels._rational_rows
+
+        def spy(c, k, Q, d):
+            calls.append(Q)
+            return rational_rows(c, k, Q, d)
+
+        monkeypatch.setattr(_kernels, "_rational_rows", spy)
+        rng = np.random.default_rng(29)
+        e = np.arange(30).repeat(8)
+        xs = np.concatenate([rng.integers(0, 1 << 30, size=len(e)) % (1 << e) / (1 << e),
+                             [0.0, 0.5]])
+        Ns = rng.integers(1, 3001, size=len(xs))
+        conv = np.arange(101) * 0.01 / 2048
+        wrap = (np.array([1, 8193 + 3 * 2**14]), np.array([0.5 ** 52, 0.5 - 0.5 ** 14]))
+        for Ns, xs, Q in ((Ns, xs, 2 ** 29), (np.full(101, 2048), conv, 2 ** 13),
+                          (*wrap, 2 ** 52)):
+            calls.clear()
+            gs, gl = _kernels.jones_grid(Ns, xs)
+            assert calls == [Q], calls
+            calls.clear()
+            for i in range(len(xs)):
+                s, l = _kernels.jones_scan(int(Ns[i]), float(xs[i]))
+                assert s == gs[i] and np.float64(l).tobytes() == gl[i].tobytes(), (Ns[i], xs[i])
+            assert len(calls) == _kernels._dyadic(Ns, _kernels._fold_x(xs)).sum()
 
     def test_float_route_color_limit_raises_before_any_sum(self, monkeypatch):
         # the float route checks its colors once per call, so a color
@@ -729,7 +765,7 @@ class TestGrids:
         # color, so chunks hold many rows of different widths
         shuffled = np.random.default_rng(8).permutation(
             np.concatenate([np.arange(1, 600, 2), np.arange(1, 600, 6), [301] * 5]))
-        assert _kernels._live(40001, 1, 80000) > _kernels._CHUNK_FACTORS
+        assert _kernels._rational_rows(np.array([40001]), 1, 80000, 80000)[0][0] > _kernels._CHUNK_FACTORS
         for cs, r, N in ((shuffled, 2, 300), ([1], 1, 800), ([1, 1, 3], 3, 301),
                          ([], 1, 800), ([3, 40001, 5], 1, 80000),
                          (np.arange(1, 6000, 14), 1, 3000)):
@@ -867,7 +903,7 @@ class TestFinalPiece:
         cs = np.array([t + p * L for t in (1, 2, 44, 104, 127, L) for p in (0, 1, 2, 7)])
         for x in (0.4142135623, 5 / 2**13):
             lengths = (_kernels._float_rows(cs, np.full(len(cs), x))[0] if x == 0.4142135623
-                       else _kernels._rational_rows(cs, 5, 2**13)[0])
+                       else _kernels._rational_rows(cs, 5, 2**13, 2**13)[0])
             assert np.array_equal(lengths, cs)
             TestGrids.assert_grid_is_scan(cs, np.full(len(cs), x))
             for c in cs.tolist():
@@ -922,7 +958,7 @@ class TestNearRows:
         c = np.asarray(c, dtype=np.int64)
         k = np.broadcast_to(np.asarray(k, dtype=np.int64), c.shape)
         monkeypatch.setattr(_kernels, "_refine", lambda g, *args: g)
-        _, rows, near = _kernels._rational_rows(c, k, Q)
+        _, rows, near = _kernels._rational_rows(c, k, Q, Q)
         n = -(-min(int(c.max()), Q) // L)
         step = max(1, (1 << 20) // (n * L))
         for a in range(0, len(c), step):
@@ -982,7 +1018,7 @@ class TestNearRows:
         # are scanned, in the parts of the chunks that hold them; with
         # every row near, every row in every part of its chunk
         k, Q = midpoint_rows(n)
-        lengths, _, near = _kernels._rational_rows(np.full(len(k), 1000), k, Q)
+        lengths, _, near = _kernels._rational_rows(np.full(len(k), 1000), k, Q, Q)
         pieces = -(-lengths // _kernels._L)
         chunks = [near[np.lexsort((near, lengths))][sl] for sl in _kernels._chunks(pieces.tolist())]
         seen.clear()

@@ -123,6 +123,16 @@ class TestLimitCurves:
         with pytest.raises(DomainError):
             curve(x)
 
+    @pytest.mark.parametrize("curve", [limit_V, limit_W])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_raise(self, curve, x):
+        # a NaN fails every comparison, so no branch took it and the
+        # curve read uninitialised memory there
+        with pytest.raises(DomainError):
+            curve(x)
+        with pytest.raises(DomainError):
+            curve(np.array([0.5, x, 0.9]))
+
     def test_middle_branch_equals_printed_shifted_form(self):
         # scale -2 with theta_plus and no shift == scale +2 of the
         # pi/2-shifted difference at the complementary angle pi - theta_plus

@@ -19,7 +19,8 @@ cable profiles at integer and non-integer r, the quadrature growth
 table and long scans), scans, profiles and quadrature on the rational
 route where it flags few or all of its rows as near a root, scans and a
 profile with rows of a multiple of 128 live factors, scans and
-quadrature whose rows' last piece stops short at their zero, ``mahler roots``
+quadrature whose rows' last piece stops short at their zero, a conv
+grid whose dyadic points mix denominators, ``mahler roots``
 (one that warns of a root near the circle), ``quad --poly``, exact
 ``homology`` (one that warns of f(1) != +-1), a table with no rows, the
 six ``--check`` commands, commands for the error exits (2, 64, 70, 73;
@@ -74,6 +75,9 @@ COMMANDS = (
     ("eval", "--N", "300", "--x", "0.4142135623"),
     ("eval", "--N", "524333", "--x", "0.4142135623"),
     ("mahler", "quad", "--jones", "300", "--n", "4096"),
+    # a conv grid whose dyadic points r = 0.25, 0.5, 0.75, 1 have the
+    # denominators 2^13, 2^12, 2^13 and 2^11, in one rational route
+    ("figure", "conv1", "--N", "2048", "--out", "conv1.csv"),
     # the rational route at the edges of its near-row flags: Q = 1 and
     # Q = 2, an odd Q = N with flagged colors, a dyadic profile and
     # quadrature at Q = 2^17
