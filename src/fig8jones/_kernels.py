@@ -53,19 +53,19 @@ grid take the same one:
   this route takes colors up to ``_MAX_FLOAT_COLOR`` = 2^25 and raises
   DomainError past it, once per call, before any row is formed.
 
-Routes: both routes return one contract, (lengths, rows, near).
+Routes: both routes return one contract, (lengths, fill, near).
 lengths[i] is the number of factors of row i through its first exact
 zero: c on the float route, live on the rational one (Early exit,
-below).  rows(i) is the fill of the rows of an index array i:
-fill(j0, n) prepares a block of n pieces from factor j0 + 1 on and
-returns part(t0, out, tmp), which writes the rows'
+below).  fill(i, j0, n) prepares a block of n pieces of the rows of an
+index array i from factor j0 + 1 on, the float route's tables among
+them, and returns part(t0, out, tmp), which writes the rows'
 g(j0 + pL + t0 + t + 1) into out, of shape (t, piece, row), and
 returns it, using tmp (out's shape) as scratch.  out holds the
 block's first out.shape[1] pieces, all n or all but the last (Layout,
 below).
 Every caller sums a route as ``_rows(*route)``.  Rows that share their
 x share one cosine row: the float route forms one table C2, S2 for a
-chunk of one x (a cable profile), and the rational route forms each
+block of one x (a cable profile), and the rational route forms each
 part's cosines once, laid out (t, piece, 1), and subtracts them across
 the chunk's rows; rows of distinct x write their own cosines.  On both
 routes a factor under ``_TAU`` = 2^-16 in magnitude, near one of its
@@ -158,8 +158,8 @@ takes several blocks, each of ``_PIECES`` pieces, a power of two, so
 each block's tree is a whole subtree of the row's and a scan holds one
 block at any x.
 ``jones_prefix`` takes blocks of ``_CHUNK_FACTORS`` factors, turned
-back to column order, and writes their prefixes into its full-length
-results.
+back to column order, writes their signs and logs into its results,
+and accumulates both once over the whole row, a sequential recurrence.
 """
 
 from __future__ import annotations
@@ -274,46 +274,44 @@ def _refine(g, tmp, j0, sine, scan=None):
 
 def _float_rows(cs, xs):
     """The float route (module docstring) of the paired colors cs and
-    folded positions xs (``_fold_x``), as (lengths, rows, near), near all
-    True.  The colors are checked once per call; rows(i) forms the tables
-    C2, S2 per chunk, one when its rows share their x, else one per row."""
+    folded positions xs (``_fold_x``), as (lengths, fill, near), near all
+    True.  The colors are checked and each g(c) formed once per call,
+    the tables C2, S2 per block: one when its rows share their x, else
+    one per row."""
     cmax = int(cs.max(initial=1))
     if cmax > _MAX_FLOAT_COLOR:
         raise DomainError(f"color {cmax} at a non-dyadic x is past the float route's "
                           f"exact phases", interval=f"N <= {_MAX_FLOAT_COLOR}")
     xh, xl = _split(xs)
+    # every row's g(c), by its factors' formula at j = c = _L s + k + 1
+    s, k = np.divmod(cs - 1, _L)
+    ck, sk = _angle(_turns(xh, xl, k + 1.0))
+    ca, sa = _angle(_turns(xh, xl, s * float(_L)))
+    gcs = 2.0 * ck * ca - 2.0 * sk * sa
 
-    def rows(i):
-        c, x, h, l = cs[i], xs[i], xh[i], xl[i]
+    def fill(i, j0, n):
+        c, x, h, l, gc = cs[i], xs[i], xh[i], xl[i], gcs[i]
         u = slice(0, 1) if (x == x[0]).all() else slice(None)
         # tables of shape (i, 1, row), i = 1.._L; Horner step t takes
         # entry t + 1 for every piece
         cos, sin = _angle(_turns(h[u], l[u], np.arange(1.0, _L + 1)[:, None, None]))
         c2, s2 = 2.0 * cos, 2.0 * sin
-        s, k = np.divmod(c - 1, _L)
-        ca, sa = _angle(_turns(h, l, s * float(_L)))
-        r = np.arange(len(c)) % c2.shape[2]
-        gc = c2[k, 0, r] * ca - s2[k, 0, r] * sa
+        # the angles of the pieces, (piece, row)
+        ca, sa = _angle(_turns(h, l, (j0 + _L * np.arange(n, dtype=np.float64))[:, None]))
 
         def sine(r, j):
             return -4.0 * _sin_pi(h[r], l[r], c[r] + j) * _sin_pi(h[r], l[r], c[r] - j)
 
-        def fill(j0, n):
-            # the angles of the pieces, (piece, row)
-            ca, sa = _angle(_turns(h, l, (j0 + _L * np.arange(n, dtype=np.float64))[:, None]))
+        def part(t0, out, tmp):
+            v, p = slice(t0, t0 + len(out)), out.shape[1]
+            np.multiply(c2[v], ca[:p], out=out)
+            np.multiply(s2[v], sa[:p], out=tmp)
+            np.subtract(out, tmp, out=out)
+            return _refine(np.subtract(gc, out, out=out), tmp, j0 + t0, sine)
 
-            def part(t0, out, tmp):
-                v, p = slice(t0, t0 + len(out)), out.shape[1]
-                np.multiply(c2[v], ca[:p], out=out)
-                np.multiply(s2[v], sa[:p], out=tmp)
-                np.subtract(out, tmp, out=out)
-                return _refine(np.subtract(gc, out, out=out), tmp, j0 + t0, sine)
+        return part
 
-            return part
-
-        return fill
-
-    return cs, rows, np.ones(len(cs), dtype=bool)
+    return cs, fill, np.ones(len(cs), dtype=bool)
 
 
 def _twocos(q, Q, out=None):
@@ -364,7 +362,7 @@ def _near(qc, Q):
 def _rational_rows(c, k, Q, d):
     """The rational route (module docstring) of the colors of array c at
     x = k/Q, k an int or an array of c's shape and d the period
-    Q / gcd(k, Q) of each row's phases, as (lengths, rows, near).  The
+    Q / gcd(k, Q) of each row's phases, as (lengths, fill, near).  The
     lengths are the live lengths: g(j) vanishes exactly when q_j == q_c,
     that is when d divides c - j or c + j, at j = c at the latest.  near
     flags the rows whose factors can fall under ``_TAU`` without being
@@ -388,7 +386,7 @@ def _rational_rows(c, k, Q, d):
     gc = cos(c * k, None)
     near = _near(qc, Q)
 
-    def rows(i):
+    def fill(i, j0, n):
         gi, qi, ki = gc[i], qc[i], k[i]
         # rows that share their k take one cosine row, (t, piece, 1)
         shared = len(ki) > 1 and (ki == ki[0]).all()
@@ -402,21 +400,18 @@ def _rational_rows(c, k, Q, d):
             s, d = qi[r] + qj, qi[r] - qj
             return -4.0 * np.sin(np.minimum(s, Q - s) * np.pi / Q) * np.sin(d * np.pi / Q)
 
-        def fill(j0, n):
-            # the first factor index j0 + pL + 1 of each piece, (piece, 1)
-            j = (j0 + 1 + _L * np.arange(n, dtype=dt))[:, None]
+        # the first factor index j0 + pL + 1 of each piece, (piece, 1)
+        j = (j0 + 1 + _L * np.arange(n, dtype=dt))[:, None]
 
-            def part(t0, out, tmp):
-                q = np.arange(t0, t0 + len(out), dtype=dt)[:, None, None] + j[:out.shape[1]]
-                q = np.multiply(ku, q, out=None if shared else _ints(tmp, dt))
-                g = np.subtract(gi, cos(q, None if shared else out), out=out)
-                return _refine(g, tmp, j0 + t0, sine, scan) if len(flagged) else g
+        def part(t0, out, tmp):
+            q = np.arange(t0, t0 + len(out), dtype=dt)[:, None, None] + j[:out.shape[1]]
+            q = np.multiply(ku, q, out=None if shared else _ints(tmp, dt))
+            g = np.subtract(gi, cos(q, None if shared else out), out=out)
+            return _refine(g, tmp, j0 + t0, sine, scan) if len(flagged) else g
 
-            return part
+        return part
 
-        return fill
-
-    return live, rows, near
+    return live, fill, near
 
 
 def _norm(m, e):
@@ -461,10 +456,10 @@ def _horner(part, shape, buf, k, T):
         c = n if s else k
         g = part(t0, *(v[:w * c * r].reshape(w, c, r) for v in buf)).reshape(w, c * r)
         gk = g if c == k else g[:, :mk]
-        for gt in gk[s:][::-1] if s < w else ():
+        for gt in gk[s:][::-1]:
             np.multiply(bk, gt, out=bk)
             np.add(bk, ok, out=bk)
-        for gt in g[s - 1::-1] if s else ():
+        for gt in g[:s][::-1]:
             np.multiply(b, gt, out=b)
             np.add(b, one, out=b)
         for u in range((w - 1) // _K * _K, -1, -_K) if k else ():
@@ -516,8 +511,8 @@ def _chunks(pieces):
         a = b
 
 
-def _rows(lengths, rows, near):
-    """Row-wise (signs, log|J|) of a route (lengths, rows, near) (module
+def _rows(lengths, fill, near):
+    """Row-wise (signs, log|J|) of a route (lengths, fill, near) (module
     docstring).  Sorted by length, and the near rows last among rows of
     one length, the rows share ``_chunks``, whose buffers are allocated
     once."""
@@ -529,14 +524,13 @@ def _rows(lengths, rows, near):
     sgn = np.empty(len(lengths), dtype=np.int8)
     log = np.empty(len(lengths), dtype=np.float64)
     for i in chunks:
-        fill = rows(i)
         # the longest row's zero is row T - 1 of its last piece
         T, P = (int(lengths[i[-1]]) - 1) % _L + 1, int(pieces[i[-1]])
         roots = []
         for p0 in range(0, P, _PIECES):
             n = min(P - p0, _PIECES)
             k, t = (n, _L) if p0 + n < P else (n - 1, T)
-            maps = [v.reshape(n, len(i)) for v in _horner(fill(p0 * _L, n), (n, len(i)), buf, k, t)]
+            maps = [v.reshape(n, len(i)) for v in _horner(fill(i, p0 * _L, n), (n, len(i)), buf, k, t)]
             roots.append(_tree(maps))
         b, eb, _, _ = _tree([np.stack(v) for v in zip(*roots)])
         sgn[i] = np.sign(b)
@@ -563,9 +557,9 @@ def _ratio(xs):
 
 
 def _lone(N, x):
-    """The route (lengths, rows, near) of the lone row of color N at
-    x, the one ``jones_grid`` takes for the point; a color below 1 has no
-    factor, as color 1."""
+    """The route (lengths, fill, near) of the lone row of color N at
+    x, the one ``jones_grid`` takes for the point, whose fill takes the
+    index array [0]; a color below 1 has no factor, as color 1."""
     c, xs = np.array([max(N, 1)]), _fold_x(np.array([x], dtype=np.float64))
     if _dyadic(c, xs)[0]:
         return _rational_rows(c, *_ratio(xs))
@@ -579,13 +573,13 @@ def jones_scan(N: int, x: float) -> tuple[int, float]:
 
 
 def _prefix_blocks(fill, n):
-    """The factors g(1..n) of a lone row's fill, in column order, up to
-    ``_CHUNK_FACTORS`` at a time, as (j0, g)."""
+    """The factors g(1..n) of a route's lone row (``_lone``), in column
+    order, up to ``_CHUNK_FACTORS`` at a time, as (j0, g)."""
     T, w = max(min(_L, n), 1), _CHUNK_FACTORS // _L
     block, tmp = np.empty((2, T * min(w, -(-n // T))))
     for j0 in range(0, n, w * _L):
         m = min(w, -(-(n - j0) // T))
-        g = fill(j0, m)(0, block[:T * m].reshape(T, m, 1), tmp[:T * m].reshape(T, m, 1))
+        g = fill(np.array([0]), j0, m)(0, block[:T * m].reshape(T, m, 1), tmp[:T * m].reshape(T, m, 1))
         yield j0, g[:, :, 0].T.ravel()[:n - j0]
 
 
@@ -594,22 +588,17 @@ def jones_prefix(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     the signs int8 in {-1, 0, 1}, 0 exactly where the log is -inf.  A
     color below 1 has no factor, as color 1."""
     N = max(N, 1)
-    rows = _lone(N, x)[1]
     sgnf, logf = np.empty(N, dtype=np.int8), np.empty(N)
     sgnf[0], logf[0] = 1, 0.0
-    # each block's first log and sign take the row's prefix before it,
-    # so cumsum and cumprod run the same sequential recurrences as over
-    # the whole row; a vanished factor's log|0| = -inf and sign 0 carry
-    for j0, g in _prefix_blocks(rows(np.array([0])), N - 1):
+    for j0, g in _prefix_blocks(_lone(N, x)[1], N - 1):
         k = slice(j0 + 1, j0 + 1 + len(g))
-        s = np.sign(g)
-        s[0] *= sgnf[j0]
-        np.cumprod(s, out=s)
-        sgnf[k] = s
+        sgnf[k] = np.sign(g)
         with np.errstate(divide="ignore"):
-            np.log(np.abs(g, out=g), out=g)
-        g[0] += logf[j0]
-        np.cumsum(g, out=logf[k])
+            np.log(np.abs(g, out=g), out=logf[k])
+    # the sequential recurrences f(k) = f(k - 1) g(k) over the whole
+    # row; a vanished factor's sign 0 and log|0| = -inf carry
+    np.multiply.accumulate(sgnf, out=sgnf)
+    np.add.accumulate(logf, out=logf)
     return sgnf, logf
 
 

@@ -85,7 +85,7 @@ class LaurentPolynomialZ:
     def eval_circle_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log|f|) at z = exp(2 pi i xs); sign is that of |f|
         (+1) or 0 for exact zeros."""
-        z = np.exp(2j * np.pi * np.asarray(xs, dtype=float))
+        z = np.exp(2j * np.pi * _positions(xs))
         vals = np.polyval(list(reversed(self.coefficients)), z)
         mag = np.abs(vals)  # |z^low| == 1
         signs = np.where(mag == 0.0, 0, 1).astype(np.int8)
@@ -99,6 +99,14 @@ FIG8_ALEXANDER = LaurentPolynomialZ(-1, (-1, 3, -1))
 # ---------------------------------------------------------------------------
 # circle samplers
 # ---------------------------------------------------------------------------
+
+def _positions(xs) -> np.ndarray:
+    """xs as floats, refusing a non-finite x: it has no point on the circle."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"positions must be finite, got {xs[~np.isfinite(xs)][0]}")
+    return xs
+
 
 def const_on_circle(value: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log|value|) at every x: a constant sampler, useful for
@@ -119,7 +127,7 @@ def jones_on_circle(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
 
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return _kernels.jones_grid(np.full(len(xs), N, dtype=np.int64), xs)
+    return _kernels.jones_grid(np.full(len(xs), N, dtype=np.int64), _positions(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,8 @@ def theta_r(r, variant: ThetaVariant = ThetaVariant.MINUS_HALF):
     cosine evaluation at interval endpoints are clamped.
     """
     arr = np.asarray(r, dtype=float)
-    c = np.cos(2.0 * np.pi * arr) + variant.offset
+    with np.errstate(invalid="ignore"):  # cos(+-inf) is NaN, rejected below
+        c = np.cos(2.0 * np.pi * arr) + variant.offset
     bad = ~(np.abs(c) <= 1.0 + 1e-9)
     if np.any(bad):
         raise DomainError(

@@ -110,8 +110,8 @@ class TestScanAgreement:
             # the kernel's cosine differences, under a threshold that
             # refines none of them
             monkeypatch.setattr(_kernels, "_TAU", 0.0)
-            _, rows, _ = _kernels._float_rows(np.array([N]), _kernels._fold_x(np.array([x])))
-            g = row_factors(rows(np.array([0])), N - 1)
+            _, fill, _ = _kernels._float_rows(np.array([N]), _kernels._fold_x(np.array([x])))
+            g = row_factors(fill, N - 1)
             monkeypatch.setattr(_kernels, "_TAU", tau)
             near = set((np.flatnonzero(np.abs(g) < tau) + 1).tolist())
             assert got == near, (N, x, sorted(got ^ near)[:5])
@@ -350,14 +350,15 @@ def exact_row(c, r, N):
 
 
 def row_factors(fill, n):
-    # the factors g(1..n) a lone row's fill forms, in column order
+    # the factors g(1..n) a lone row's fill(i, j0, n) forms, in column
+    # order
     return np.concatenate([g for _, g in _kernels._prefix_blocks(fill, n)] or [[]])
 
 
-def block(fill, T, n, rows):
-    # a block of T factor rows of n pieces of each of rows rows, laid out
-    # (t, piece, row), as the kernel forms it _K rows at a time
-    out, part = np.empty((T, n, rows)), fill(0, n)
+def block(fill, i, T, n):
+    # a block of T factor rows of n pieces of each of the rows i, laid
+    # out (t, piece, row), as the kernel forms it _K rows at a time
+    out, part = np.empty((T, n, len(i))), fill(i, 0, n)
     for t0 in range(0, T, _kernels._K):
         o = out[t0:t0 + _kernels._K]
         part(t0, o, np.empty_like(o))
@@ -367,16 +368,17 @@ def block(fill, T, n, rows):
 class TestColumnBlocks:
     def test_blocked_core_matches_unblocked_formula(self):
         # rows on both sides of one block of a scan (W factors), two, and
-        # many, and of jones_prefix's blocks (C factors); the carried log
-        # and sign make the blocked prefixes equal, bit for bit, to the
-        # whole-row recurrences, and the sums equal to the reduction's
-        # definition over the whole row.  At N = 40000, x = 2^-16 the
-        # first vanishing factor, j = 25536, lies in the second prefix
-        # block: a sign carried across a block edge meets an exact zero,
-        # and the signs must turn 0 there.  Rows of N = 641 and 3201 have
-        # a multiple of _L live factors, so their zero g(N) opens a piece
-        # of its own.  W + 45 is a first block of whole pieces, with their
-        # products, and a final block of one piece of 45 factors
+        # many, and of jones_prefix's blocks (C factors); the blocks'
+        # factors, accumulated once over the whole row, make the
+        # prefixes equal, bit for bit, to the whole-row recurrences, and
+        # the sums equal to the reduction's definition over the whole
+        # row.  At N = 40000, x = 2^-16 the first vanishing factor,
+        # j = 25536, lies in the second prefix block: a sign accumulated
+        # across a block edge meets an exact zero, and the signs must
+        # turn 0 there.  Rows of N = 641 and 3201 have a multiple of _L
+        # live factors, so their zero g(N) opens a piece of its own.
+        # W + 45 is a first block of whole pieces, with their products,
+        # and a final block of one piece of 45 factors
         W, C = _kernels._PIECES * _kernels._L, _kernels._CHUNK_FACTORS
         cases = [(N, x) for N in (C - 1, C + 1, W - 1, W, W + 1, W + 2, W + 129, 3 * W + 5)
                  for x in (1.05 / N, 0.3, 1 / 3, 0.5)]
@@ -541,11 +543,11 @@ class TestGrids:
                     assert gs[i] == s and gl[i].tobytes() == np.float64(l).tobytes(), (N, r, i)
                 L = _kernels._L
                 pieces = -(-cs // L)
-                lengths, rows, near = _kernels._float_rows(cs, xs)
+                lengths, fill, near = _kernels._float_rows(cs, xs)
                 assert np.array_equal(lengths, cs) and near.all()
                 for sl in _kernels._chunks(pieces.tolist()):
                     c = cs[sl]
-                    g = block(rows(np.arange(len(cs))[sl]), min(L, int(c[-1])), int(pieces[sl][-1]), len(c))
+                    g = block(fill, np.arange(len(cs))[sl], min(L, int(c[-1])), int(pieces[sl][-1]))
                     assert (g[(c[:-1] - 1) % L, (c[:-1] - 1) // L, np.arange(len(c) - 1)] == 0.0).all()
         # dyadic non-integer profiles, x = 3/2048 and 1/64: one rational
         # call carries every color, each row at its own k, live length
@@ -958,12 +960,12 @@ class TestNearRows:
         c = np.asarray(c, dtype=np.int64)
         k = np.broadcast_to(np.asarray(k, dtype=np.int64), c.shape)
         monkeypatch.setattr(_kernels, "_refine", lambda g, *args: g)
-        _, rows, near = _kernels._rational_rows(c, k, Q, Q)
+        _, fill, near = _kernels._rational_rows(c, k, Q, Q)
         n = -(-min(int(c.max()), Q) // L)
         step = max(1, (1 << 20) // (n * L))
         for a in range(0, len(c), step):
             i = np.arange(a, min(a + step, len(c)))
-            g = np.abs(block(rows(i), L, n, len(i))[:, :, ~near[i]])
+            g = np.abs(block(fill, i, L, n)[:, :, ~near[i]])
             small = (g > 0.0) & (g < _kernels._TAU)
             assert not small.any(), (Q, c[i][~near[i]][np.flatnonzero(small.any(axis=(0, 1)))[:3]])
         monkeypatch.undo()

@@ -197,6 +197,16 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="value must be finite"):
             const_on_circle(value, np.zeros(4))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sample", [partial(jones_on_circle, 5), FIG8_ALEXANDER.eval_circle_batch],
+                             ids=["jones", "alexander"])
+    def test_samplers_reject_non_finite_positions(self, sample, x):
+        # sign 0 is reserved for an exact zero, and a non-finite x has no
+        # point on the circle
+        for xs in ([x], np.array([0.25, x])):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                sample(xs)
+
     def test_identically_zero_raises(self):
         with pytest.raises(SingularityError):
             log_mahler_quadrature(partial(const_on_circle, 0.0), 256)

@@ -78,6 +78,10 @@ COMMANDS = (
     # a conv grid whose dyadic points r = 0.25, 0.5, 0.75, 1 have the
     # denominators 2^13, 2^12, 2^13 and 2^11, in one rational route
     ("figure", "conv1", "--N", "2048", "--out", "conv1.csv"),
+    # a lone rational row of two blocks, x = 2^-21: 10^6 live factors on
+    # int64 phases and direct cosines, flagged near, whose second block
+    # forms its rows' state again
+    ("eval", "--N", "1000000", "--x", "0.000000476837158203125"),
     # the rational route at the edges of its near-row flags: Q = 1 and
     # Q = 2, an odd Q = N with flagged colors, a dyadic profile and
     # quadrature at Q = 2^17
