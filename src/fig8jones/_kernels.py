@@ -24,9 +24,13 @@ grid take the same one:
   denominator Q: every x*j, j <= c, is then exact, and since dividing
   by a power of two is exact, fl(fl(2 pi) q)/Q == fl((q/Q) fl(2 pi)),
   the cosine of the exact phase rounded once.  The phases k j, k
-  reduced mod Q, are int32 where Q (c + _L) < 2^31 for every color c of
-  the call, as on every quadrature and cable grid, and int64 otherwise:
-  the same integers, and half the bytes to multiply, mask and look up.
+  reduced mod Q, are uint16 where Q is a power of two no larger than
+  2^15, as on every quadrature grid and dyadic conv grid: they wrap mod
+  2^16, a multiple of Q, so every phase mod Q, table index and bit stays
+  the same, and a block's first index j0 enters reduced mod Q.  Other
+  phases are int32 where Q (c + _L) < 2^31 for every color c of the
+  call, as on every cable grid, and int64 otherwise: the same integers
+  mod Q, in a quarter or half the bytes to multiply, mask and look up.
   Each row carries its period d = Q / gcd(k, Q), with which its phases
   and zeros recur (Early exit, below): N / gcd(r, N) for
   ``jones_grid_exact``, a dyadic point's own denominator in lowest
@@ -155,8 +159,12 @@ that row's zero.  A shorter row's own zero drops what lies past it,
 its share of the last piece and any piece between (Early exit, above).
 Only a lone row of more than ``_PIECES`` pieces (a long scan or color)
 takes several blocks, each of ``_PIECES`` pieces, a power of two, so
-each block's tree is a whole subtree of the row's and a scan holds one
-block at any x.
+each block's tree is a whole subtree of the row's.  A block composes
+its first ``_LEVELS`` = 6 levels as it is made, into 64 maps, and since
+every block starts at a multiple of 2^6 pieces, the blocks' maps, the
+short last block's included, are the row's tree at that level, which
+composes once after the last block.  So a scan holds one block and 64
+maps per block at any x, a few kB per block.
 ``jones_prefix`` takes blocks of ``_CHUNK_FACTORS`` factors, turned
 back to column order, writes their signs and logs into its results,
 and accumulates both once over the whole row, a sequential recurrence.
@@ -185,6 +193,10 @@ _CHUNK_FACTORS = 1 << 15
 _L = 128
 _K = 8
 _PIECES = _CHUNK_FACTORS // _K
+# The tree levels a block composes as it is made, _PIECES = 2^12 pieces
+# into 64 maps: a row of several blocks composes the rest once, where
+# each level takes a numpy call per block on a few maps
+_LEVELS = 6
 _LN2 = float(np.log(2.0))
 # the exponent of a zero mantissa, below every other, so a zero term
 # never sets the scale of a sum
@@ -206,7 +218,10 @@ def current_backend() -> str:
 def _fold_x(xs):
     """x -> min(f, 1 - f), f = |x| mod 1, exactly: the fractional part of
     a float is a float, and 1 - f is exact for f in [1/2, 1] (Sterbenz).
-    J depends on x only through cos(2 pi x m) for integers m."""
+    J depends on x only through cos(2 pi x m) for integers m.  A
+    non-finite x has no point on the circle: ValueError."""
+    if not np.isfinite(xs).all():
+        raise ValueError(f"positions must be finite, got {xs[~np.isfinite(xs)][0]}")
     f = np.abs(xs)
     f -= np.floor(f)
     return np.minimum(f, 1.0 - f, out=f)
@@ -368,9 +383,11 @@ def _rational_rows(c, k, Q, d):
     flags the rows whose factors can fall under ``_TAU`` without being
     0.0."""
     live = np.minimum((c - 1) % d, (-c - 1) % d) + 1
-    # phases k j of factors j < c + _L, with k reduced mod Q, in int32
-    # when they fit
-    dt = np.int32 if Q * (int(c.max(initial=0)) + _L) < 1 << 31 else np.int64
+    # phases k j of factors j < c + _L, with k reduced mod Q: uint16 for a
+    # power of two Q <= 2^15, as arithmetic mod 2^16, a multiple of Q,
+    # else int32 when they fit
+    dt = (np.uint16 if Q <= 1 << 15 and not Q & (Q - 1)
+          else np.int32 if Q * (int(c.max(initial=0)) + _L) < 1 << 31 else np.int64)
     k = np.broadcast_to(np.asarray(k % Q, dtype=dt), c.shape)
     # a table when it costs no more cosines than the rows would take
     # directly, one per live factor and one per row for g(c), and holds
@@ -387,6 +404,8 @@ def _rational_rows(c, k, Q, d):
     near = _near(qc, Q)
 
     def fill(i, j0, n):
+        # the phases depend on j0 mod Q only, which a uint16 array can meet
+        j0 %= Q
         gi, qi, ki = gc[i], qc[i], k[i]
         # rows that share their k take one cosine row, (t, piece, 1)
         shared = len(ki) > 1 and (ki == ki[0]).all()
@@ -487,14 +506,17 @@ def _compose(left, right):
     return (*_norm(b, e), *_norm(al * ar, eal + ear))
 
 
-def _tree(maps):
-    """Row-wise composite of the maps (b, eb, a, ea), each of shape
-    (piece, row), in the fixed pairwise order of the module docstring."""
-    while len(maps[0]) > 1:
+def _tree(maps, levels=64):
+    """The maps (b, eb, a, ea), each of shape (piece, row), composed
+    row-wise in the fixed pairwise order of the module docstring through
+    at most ``levels`` levels, 2^levels maps into one."""
+    for _ in range(levels):
         n = len(maps[0])
+        if n == 1:
+            break
         pair = _compose([v[0:n - 1:2] for v in maps], [v[1:n:2] for v in maps])
         maps = [np.concatenate([u, v[n - 1:]]) if n % 2 else u for u, v in zip(pair, maps)]
-    return [v[0] for v in maps]
+    return maps
 
 
 def _chunks(pieces):
@@ -526,13 +548,17 @@ def _rows(lengths, fill, near):
     for i in chunks:
         # the longest row's zero is row T - 1 of its last piece
         T, P = (int(lengths[i[-1]]) - 1) % _L + 1, int(pieces[i[-1]])
-        roots = []
+        # each block composes its first _LEVELS levels as it is made; the
+        # blocks' maps together are the row's tree at that level, which
+        # composes the rest once
+        blocks = []
         for p0 in range(0, P, _PIECES):
             n = min(P - p0, _PIECES)
             k, t = (n, _L) if p0 + n < P else (n - 1, T)
             maps = [v.reshape(n, len(i)) for v in _horner(fill(i, p0 * _L, n), (n, len(i)), buf, k, t)]
-            roots.append(_tree(maps))
-        b, eb, _, _ = _tree([np.stack(v) for v in zip(*roots)])
+            blocks.append(_tree(maps, _LEVELS))
+        maps = blocks[0] if len(blocks) == 1 else [np.concatenate(v) for v in zip(*blocks)]
+        (b,), (eb,), _, _ = _tree(maps)
         sgn[i] = np.sign(b)
         with np.errstate(divide="ignore"):
             log[i] = np.log(np.abs(b)) + eb * _LN2

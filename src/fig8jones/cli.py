@@ -26,9 +26,14 @@ flags produce byte-identical files.
 from __future__ import annotations
 
 import gc
+import os
 
 if __name__ == "__main__":  # the process ends with its command: no cyclic GC
     gc.disable()
+    # and calls no threaded BLAS, while numpy's idle OpenBLAS worker spins
+    # for some 50-100 ms of CPU after import: one thread, set before numpy
+    # loads, unless the caller chose a count
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import importlib

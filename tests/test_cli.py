@@ -352,11 +352,12 @@ class TestChecksAndExitCodes:
         assert err == f"fig8jones: cannot write {tmp_path}: Is a directory\n"
 
 
-def run_python(*args):
-    """A fresh interpreter with this source tree first on its path."""
+def run_python(*args, env=None):
+    """A fresh interpreter with this source tree first on its path, in
+    the environment env (default: this process's)."""
     src = os.path.dirname(os.path.dirname(fig8jones.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True)
 
@@ -407,6 +408,34 @@ class TestProcessExit:
         proc = run_python("-m", "fig8jones.cli", *argv, "--out", str(path))
         assert proc.returncode == 73 and proc.stdout == ""
         assert proc.stderr == f"fig8jones: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_module_run_starts_no_blas_thread(preset):
+    # run as under python -m, the cli sets OPENBLAS_NUM_THREADS=1 before
+    # numpy loads, unless the caller set it, so on Linux the process runs
+    # one thread once numpy is loaded; a library import sets nothing
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = run_python("-c", (
+        "import os, runpy, sys\n"
+        "sys.argv = ['fig8jones', 'volume']\n"
+        "try:\n"
+        "    runpy.run_module('fig8jones.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "      len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)\n"), env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.splitlines()[-1].split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
+    proc = run_python("-c", "import os, fig8jones.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                      env=env)
+    assert (proc.returncode, proc.stdout) == (0, f"{preset}\n"), proc.stderr
 
 
 def loaded_modules(*argv) -> list[str]:

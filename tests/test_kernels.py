@@ -204,6 +204,19 @@ class TestScanAgreement:
             assert s == 1
             assert abs(l - math.log(z)) < 1e-9
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises(self, x):
+        # a non-finite x has no point on the circle: every entry point
+        # that takes one refuses it before any arithmetic, so no warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (lambda: _kernels.jones_scan(5, x), lambda: _kernels.jones_prefix(5, x),
+                      lambda: _kernels.jones_grid([5, 5], [0.3, x])):
+                with pytest.raises(ValueError, match=f"positions must be finite, got {x}"):
+                    f()
+
     def test_scan_truncates_at_exact_zero(self):
         # x = 0.5, N = 5: folded phases collide at j = 1, so the sum is
         # the single empty-product term
@@ -405,9 +418,9 @@ class TestColumnBlocks:
     def test_multi_block_scan_matches_unblocked_formula(self):
         # rows of several blocks whose logs fall hundreds of nats below
         # their peak and rise again: the scan composes each block's
-        # pieces into one map and the blocks' maps in the same pairwise
-        # order as the whole row's, so it must equal, bit for bit, the
-        # definition over the whole row
+        # pieces into 64 maps and their concatenation once, in the same
+        # pairwise order as the whole row's, so it must equal, bit for
+        # bit, the definition over the whole row
         W = _kernels._PIECES * _kernels._L
         for N in (3 * W + 5, 5 * W + 17):
             for r in (1.0, 0.9, 1.05, 2.5):
@@ -415,6 +428,22 @@ class TestColumnBlocks:
                 s, l = horner_sum(unblocked(N, x))
                 ks, kl = _kernels.jones_scan(N, x)
                 assert ks == s and np.float64(kl).tobytes() == np.float64(l).tobytes(), (N, r)
+
+    def test_long_row_composes_one_tree(self, monkeypatch):
+        # 3W + 5 factors: three blocks of 2^12 pieces, each composed
+        # through 6 levels into 64 maps as it is made, and a last block
+        # of one piece; the 193 maps then compose once, in 8 levels.  A
+        # tree per block would take 12 levels each
+        W = _kernels._PIECES * _kernels._L
+        N, calls, compose = 3 * W + 5, [], _kernels._compose
+
+        def spy(left, right):
+            calls.append(len(left[0]))
+            return compose(left, right)
+
+        monkeypatch.setattr(_kernels, "_compose", spy)
+        _kernels.jones_scan(N, 1.05 / N)
+        assert calls == [2048, 1024, 512, 256, 128, 64] * 3 + [96, 48, 24, 12, 6, 3, 2, 1]
 
     def test_sums_past_the_float_range(self):
         # rows whose |J| and Horner suffix sums pass 2^1024, which the
@@ -919,20 +948,32 @@ class TestFinalPiece:
         TestGrids.assert_grid_is_scan(both[i], xs[i])
 
     def test_phases_take_int32_where_they_fit(self, monkeypatch):
-        # x = 3/2^22 on the rational route, its factors on direct cosines:
-        # the phases k j of colors c take int32 while Q (c + _L) < 2^31,
-        # at N = 300, and int64 past it, at N = 400; both match the
-        # reduction over the whole row
-        dtypes, twocos = [], _kernels._twocos
+        # the phases of a block's factors, reduced mod Q by every cosine
+        # rule, take uint16 on a power of two Q <= 2^15, where they wrap
+        # mod 2^16: the 2^14-point quadrature grid, Q = 2^15, on its
+        # table.  A jones_grid_exact grid, Q = N = 3000, takes int32
+        dtypes, mod = [], _kernels._mod
 
-        def spy(q, Q, out=None):
+        def spy(q, Q):
             if q.ndim == 3:
                 dtypes.append(q.dtype)
-            return twocos(q, Q, out)
+            return mod(q, Q)
 
-        monkeypatch.setattr(_kernels, "_twocos", spy)
-        x = 3 / 2**22
-        for N, dt in ((300, np.int32), (400, np.int64)):
+        monkeypatch.setattr(_kernels, "_mod", spy)
+        n = 1 << 14
+        xs = (np.arange(n) + 0.5) / n
+        TestGrids.assert_grid_is_scan(np.full(n, 100), xs, every=509)
+        assert dtypes and set(dtypes) == {np.dtype(np.uint16)}
+        dtypes.clear()
+        cs = np.arange(1, 6000, 2)
+        _kernels.jones_grid_exact(cs, 1, 3000)
+        assert dtypes and set(dtypes) == {np.dtype(np.int32)}
+        # x = 3/2^22, its factors on direct cosines: the phases k j of
+        # colors c take int32 while Q (c + _L) < 2^31, at N = 300, and
+        # int64 past it, at N = 400; x = 3/2^15 keeps uint16 at N = 70000,
+        # past that bound.  All match the reduction over the whole row
+        for N, x, dt in ((300, 3 / 2**22, np.int32), (400, 3 / 2**22, np.int64),
+                         (70000, 3 / 2**15, np.uint16)):
             assert (2**22 * (N + _kernels._L) < 2**31) == (dt is np.int32)
             dtypes.clear()
             s, l = horner_sum(unblocked(N, x))
